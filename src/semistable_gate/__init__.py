@@ -19,6 +19,7 @@ from .bounds import (
     derived_constants,
     ec_irred_thresholds,
     etale_thresholds,
+    lemma_bound,
     parity_obstruction,
     rt_thresholds,
 )
@@ -28,7 +29,6 @@ from .gate import (
     GateVerdict,
     counterexample_search,
     forced_equality,
-    lemma_bound,
     symmetric_congruence,
 )
 from .intpoly import (

@@ -1,9 +1,13 @@
 """Explicit thresholds and emptiness decision procedures.
 
-Everything here is straight-line exact arithmetic over the field invariants
-(d, d_K, h_K^+) and the representation-family parameters (n, ell0, r, w or
-w_bar).  A decision either certifies emptiness with a hypothesis trace or
-returns NotDecided; no procedure ever asserts non-emptiness.
+The emptiness theorems are data: `THEOREMS` gives each a gate of named
+hypotheses and situations tried in order, each (label, hypotheses,
+threshold).  Every threshold is `lemma_bound`, 2*c*base^ceil(e), a (b)-type
+one at d times the exponent of its (a)-type partner.  A `Setting` applies a
+theorem to one family; `decide` runs its ladder at one prime, and
+`least_empty_prime` finds in closed form the least prime it certifies.  All
+arithmetic is exact, and a decision is Empty, with a hypothesis trace, or
+NotDecided: no procedure ever asserts non-emptiness.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, Sequence
 
 from .errors import EllEqualsEll0, WEven
+from .primes import next_prime
 
 
 @dataclass(frozen=True)
@@ -49,6 +54,16 @@ class PrimeSituation:
     @staticmethod
     def rational(ell: int) -> "PrimeSituation":
         return PrimeSituation(ell, divides_disc=False, splits_in_K=False)
+
+    @staticmethod
+    def of(inv: FieldInvariants, ell: int, divides_disc: bool = False,
+           splits_in_K: bool = False) -> "PrimeSituation":
+        """The flags read soundly: over Q neither can hold, and otherwise ell
+        divides the discriminant whenever it does in fact, so a flag can only
+        make a verdict more conservative."""
+        if inv.d == 1:
+            return PrimeSituation.rational(ell)
+        return PrimeSituation(ell, divides_disc or inv.disc % ell == 0, splits_in_K)
 
 
 @dataclass(frozen=True)
@@ -121,8 +136,24 @@ def central_binomial(n: int) -> int:
     return math.comb(n, n // 2)
 
 
-def _ceil_pow(base: int, exponent: Fraction) -> int:
-    return base ** math.ceil(exponent)
+def size_exponent(n: int, r: int, w_bar: int) -> Fraction:
+    """M = max{n*r, w_bar/2}, exact."""
+    return max(Fraction(n * r), Fraction(w_bar, 2))
+
+
+def lemma_bound(n: int, ell0: int, d: int, M: int | Fraction, u: int) -> int:
+    """2 * c_n * ell0^(d*M*u), exact: every threshold in the package.
+
+    A fractional exponent (odd w_bar) is rounded up: a larger bound is
+    always sound.
+    """
+    exponent = -(-d * M.numerator * u // M.denominator)
+    return 2 * central_binomial(n) * ell0 ** exponent
+
+
+def _a_b(n: int, base: int, d: int, M: int | Fraction, u: int) -> tuple[int, int]:
+    """Situation (a) at exponent d*M*u, and (b) at d times that."""
+    return lemma_bound(n, base, d, M, u), lemma_bound(n, base, d, M, u * d)
 
 
 def derived_constants(inv: FieldInvariants, p: RepFamilyParams) -> DerivedConstants:
@@ -132,117 +163,13 @@ def derived_constants(inv: FieldInvariants, p: RepFamilyParams) -> DerivedConsta
     carry the narrow class number.  Each C is 2*c_n*ell0^ceil(eps): a
     fractional exponent is rounded up, which only enlarges the threshold.
     """
-    M = max(Fraction(p.n * p.r), Fraction(p.weight_budget, 2))
-    c_n = central_binomial(p.n)
-    eps1 = inv.d * M
-    eps2 = inv.d * eps1
-    eps1p = inv.d * inv.h_plus * M
-    eps2p = inv.d * eps1p
+    M = size_exponent(p.n, p.r, p.weight_budget)
+    d, h = inv.d, inv.h_plus
+    C1, C2 = _a_b(p.n, p.ell0, d, M, 1)
+    C1p, C2p = _a_b(p.n, p.ell0, d, M, h)
     return DerivedConstants(
-        M=M, c_n=c_n, eps1=eps1, eps2=eps2, eps1p=eps1p, eps2p=eps2p,
-        C1=2 * c_n * _ceil_pow(p.ell0, eps1),
-        C2=2 * c_n * _ceil_pow(p.ell0, eps2),
-        C1p=2 * c_n * _ceil_pow(p.ell0, eps1p),
-        C2p=2 * c_n * _ceil_pow(p.ell0, eps2p),
-    )
-
-
-def _five_situations(
-    theorem: str,
-    p: RepFamilyParams,
-    ps: PrimeSituation,
-    d: int,
-    c_small: int,
-    c_large: int,
-    require_nonsplit: bool,
-) -> Verdict:
-    """Shared situation ladder (a)-(e) for the two emptiness theorems.
-
-    Earlier situations take priority; an Empty verdict carries only the
-    firing situation's hypotheses (all true), a NotDecided verdict carries
-    the full trace of everything evaluated.
-    """
-    ell = ps.ell
-    w, r, n = p.w, p.r, p.n
-    w_odd = w % 2 == 1
-    w_big = w > 2 * r
-    standing = w_odd or w_big
-    nonsplit = not ps.splits_in_K
-
-    full_trace: list[tuple[str, bool]] = [("w_odd_or_w_gt_2r", standing)]
-    if require_nonsplit:
-        full_trace.append(("ell_does_not_split_in_K", nonsplit))
-    situations = [
-        ("a", [("w_odd", w_odd), ("ell_not_dividing_disc", not ps.divides_disc),
-               ("ell_gt_threshold", ell > c_small)], c_small),
-        ("b", [("w_odd", w_odd), ("degree_odd", d % 2 == 1),
-               ("ell_gt_threshold", ell > c_large)], c_large),
-        ("c", [("w_gt_2r", w_big), ("ell_not_dividing_disc", not ps.divides_disc),
-               ("ell_gt_threshold", ell > c_small)], c_small),
-        ("d", [("w_gt_2r", w_big), ("ell_gt_threshold", ell > c_large)], c_large),
-        ("e", [("w_odd", w_odd), ("n_odd", n % 2 == 1),
-               ("ell_gt_threshold", ell > c_large)], c_large),
-    ]
-    if standing:
-        for label, hyps, threshold in situations:
-            gate_hyps = list(hyps)
-            if require_nonsplit:
-                gate_hyps.insert(0, ("ell_does_not_split_in_K", nonsplit))
-            if all(v for _, v in gate_hyps):
-                trace = (("w_odd_or_w_gt_2r", True), *gate_hyps)
-                return Verdict("Empty", theorem, label, threshold, trace)
-    for label, hyps, _ in situations:
-        full_trace.extend((f"{label}:{name}", v) for name, v in hyps)
-    return Verdict("NotDecided", theorem, None, 0, tuple(full_trace))
-
-
-def _check_bullet(p: RepFamilyParams) -> None:
-    if p.variant != "bullet":
-        raise ValueError("this decision requires the bullet (uniform weight) variant")
-
-
-def _check_ell(p: RepFamilyParams, ell: int) -> None:
-    if ell == p.ell0:
-        raise EllEqualsEll0(f"ell = ell0 = {ell} is outside the framework")
-
-
-def decide_cor1(inv: FieldInvariants, p: RepFamilyParams, ps: PrimeSituation) -> Verdict:
-    """Emptiness for the cyclotomic-graded uniform-weight family, via the
-    unprimed thresholds C1/C2."""
-    _check_bullet(p)
-    if not p.cyclotomic:
-        raise ValueError("this decision applies to the cyclotomic subfamily only")
-    _check_ell(p, ps.ell)
-    consts = derived_constants(inv, p)
-    return _five_situations("Cor1", p, ps, inv.d, consts.C1, consts.C2,
-                            require_nonsplit=False)
-
-
-def decide_cor2(inv: FieldInvariants, p: RepFamilyParams, ps: PrimeSituation) -> Verdict:
-    """Emptiness for the residually-Borel uniform-weight family, via the
-    primed thresholds C1'/C2'; requires ell non-split in K."""
-    _check_bullet(p)
-    _check_ell(p, ps.ell)
-    consts = derived_constants(inv, p)
-    return _five_situations("Cor2", p, ps, inv.d, consts.C1p, consts.C2p,
-                            require_nonsplit=True)
-
-
-def decide_trivial(inv: FieldInvariants, p: RepFamilyParams, ell: int) -> Verdict:
-    """Parity shortcut: the Frobenius determinant has absolute value
-    q^{n*w/2} and must be a rational integer; when n and w are odd and K/Q
-    is Galois of odd degree every residue degree is odd, so q^{n*w/2} is
-    never an integer and the family is empty for every ell != ell0."""
-    _check_bullet(p)
-    trace = (
-        ("n_odd", p.n % 2 == 1),
-        ("w_odd", p.w % 2 == 1),
-        ("galois_odd_degree", inv.galois_odd_degree),
-        ("ell_ne_ell0", ell != p.ell0),
-    )
-    if all(v for _, v in trace):
-        return Verdict("Empty", "Trivial", "trivial", 0, trace)
-    return Verdict("NotDecided", "Trivial", None, 0, trace)
+        M=M, c_n=central_binomial(p.n), eps1=d * M, eps2=d * d * M,
+        eps1p=d * h * M, eps2p=d * d * h * M, C1=C1, C2=C2, C1p=C1p, C2p=C2p)
 
 
 def rt_thresholds(
@@ -254,22 +181,18 @@ def rt_thresholds(
     """(situation-a, situation-b) thresholds for the torsion-tower family."""
     if g < 1:
         raise ValueError("g must be positive")
-    binom = math.comb(2 * g, g)
-    d, h = inv.d, inv.h_plus
     if variant == "st":
-        return (2 ** (2 * d * g + 1) * binom, 2 ** (2 * d * d * g + 1) * binom)
+        return _a_b(2 * g, 2, inv.d, 2 * g, 1)
     if variant == "st_with_ell0":
         if ell0 is None:
             raise ValueError("st_with_ell0 requires ell0")
-        return (2 * ell0 ** (2 * d * g * h) * binom,
-                2 * ell0 ** (2 * d * d * g * h) * binom)
+        return _a_b(2 * g, ell0, inv.d, 2 * g, inv.h_plus)
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def ec_irred_thresholds(inv: FieldInvariants, ell_E: int) -> tuple[int, int]:
     """(situation-a, situation-b) thresholds for ell-torsion irreducibility."""
-    d, h = inv.d, inv.h_plus
-    return (4 * ell_E ** (2 * d * h), 4 * ell_E ** (2 * d * d * h))
+    return _a_b(2, ell_E, inv.d, 2, inv.h_plus)
 
 
 def etale_thresholds(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> tuple[int, int]:
@@ -278,9 +201,176 @@ def etale_thresholds(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> tupl
         raise WEven(f"w must be odd, got {w}")
     if b_w < 1:
         raise ValueError("b_w must be positive")
-    d, h = inv.d, inv.h_plus
-    c = central_binomial(b_w)
-    return (2 * c * ell_X ** (b_w * d * h * w), 2 * c * ell_X ** (b_w * d * d * h * w))
+    return _a_b(b_w, ell_X, inv.d, b_w * w, inv.h_plus)
+
+
+# ---- the theorem table ------------------------------------------------------
+
+# A situation is (label, hypotheses, index of its threshold in the setting's
+# (a, b) pair); ell_gt_threshold reads ell > that threshold.
+_UNIFORM_WEIGHT = (
+    ("a", ("w_odd", "ell_not_dividing_disc", "ell_gt_threshold"), 0),
+    ("b", ("w_odd", "degree_odd", "ell_gt_threshold"), 1),
+    ("c", ("w_gt_2r", "ell_not_dividing_disc", "ell_gt_threshold"), 0),
+    ("d", ("w_gt_2r", "ell_gt_threshold"), 1),
+    ("e", ("w_odd", "n_odd", "ell_gt_threshold"), 1),
+)
+_TWO_SITUATIONS = (
+    ("a", ("ell_not_dividing_disc", "ell_gt_threshold"), 0),
+    ("b", ("degree_odd", "ell_gt_threshold"), 1),
+)
+_NONSPLIT = ("ell_does_not_split_in_K",)
+
+# theorem -> (gate, situations)
+THEOREMS = {
+    "Trivial": (("n_odd", "w_odd", "galois_odd_degree", "ell_ne_ell0"), (("trivial", (), 0),)),
+    "Cor1": (("w_odd_or_w_gt_2r",), _UNIFORM_WEIGHT),
+    "Cor2": (("w_odd_or_w_gt_2r", *_NONSPLIT), _UNIFORM_WEIGHT),
+    "RTst": ((), _TWO_SITUATIONS),
+    "GRTst": (_NONSPLIT, _TWO_SITUATIONS),
+    "Ell": (_NONSPLIT, _TWO_SITUATIONS),
+    "Et": (_NONSPLIT, _TWO_SITUATIONS),
+}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """A theorem applied to one family: its (a, b) thresholds, the truth of
+    the hypotheses that do not depend on ell, and the prime ell0 it never
+    certifies (NotDecided under an ell_ne_ell0 hypothesis, else outside the
+    framework)."""
+
+    theorem: str
+    thresholds: tuple[int, int]
+    facts: dict[str, bool]
+    ell0: int | None = None
+
+
+def _facts(inv: FieldInvariants, p: RepFamilyParams | None = None) -> dict[str, bool]:
+    """The hypotheses that do not depend on ell; those about the weight
+    need the bullet variant."""
+    facts = {"degree_odd": inv.d % 2 == 1, "galois_odd_degree": inv.galois_odd_degree}
+    if p is not None:
+        if p.variant != "bullet":
+            raise ValueError("this decision requires the bullet (uniform weight) variant")
+        w_odd, w_big = p.w % 2 == 1, p.w > 2 * p.r
+        facts.update(w_odd=w_odd, w_gt_2r=w_big, w_odd_or_w_gt_2r=w_odd or w_big,
+                     n_odd=p.n % 2 == 1)
+    return facts
+
+
+def trivial_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
+    return Setting("Trivial", (0, 0), _facts(inv, p), p.ell0)
+
+
+def cor1_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
+    facts = _facts(inv, p)
+    if not p.cyclotomic:
+        raise ValueError("this decision applies to the cyclotomic subfamily only")
+    c = derived_constants(inv, p)
+    return Setting("Cor1", (c.C1, c.C2), facts, p.ell0)
+
+
+def cor2_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
+    facts = _facts(inv, p)
+    c = derived_constants(inv, p)
+    return Setting("Cor2", (c.C1p, c.C2p), facts, p.ell0)
+
+
+def rt_setting(inv: FieldInvariants, g: int, variant: Literal["st", "st_with_ell0"],
+               ell0: int | None = None) -> Setting:
+    thresholds = rt_thresholds(inv, g, variant, ell0)
+    st = variant == "st"
+    return Setting("RTst" if st else "GRTst", thresholds, _facts(inv), None if st else ell0)
+
+
+def ec_irred_setting(inv: FieldInvariants, ell_E: int) -> Setting:
+    return Setting("Ell", ec_irred_thresholds(inv, ell_E), _facts(inv))
+
+
+def etale_setting(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> Setting:
+    return Setting("Et", etale_thresholds(inv, b_w, ell_X, w), _facts(inv))
+
+
+def _ladder(theorem: str, gate: list, situations: list) -> Verdict:
+    """First situation whose gate and hypotheses all hold certifies Empty,
+    with only its own hypotheses in the trace; otherwise NotDecided with the
+    trace of everything evaluated."""
+    for label, hyps, threshold in situations:
+        if all(ok for _, ok in gate + hyps):
+            return Verdict("Empty", theorem, label, threshold, tuple(gate + hyps))
+    trace = gate + [(f"{label}:{name}", ok) for label, hyps, _ in situations for name, ok in hyps]
+    return Verdict("NotDecided", theorem, None, 0, tuple(trace))
+
+
+def decide(s: Setting, ell: int, ps: PrimeSituation) -> Verdict:
+    """The setting's ladder at the prime ell, with the flags of ps."""
+    gate, situations = THEOREMS[s.theorem]
+    if ell == s.ell0 and "ell_ne_ell0" not in gate:
+        raise EllEqualsEll0(f"ell = ell0 = {ell} is outside the framework")
+    facts = {**s.facts, "ell_ne_ell0": ell != s.ell0,
+             "ell_not_dividing_disc": not ps.divides_disc,
+             "ell_does_not_split_in_K": not ps.splits_in_K}
+    ladder = []
+    for label, hyps, i in situations:
+        threshold = s.thresholds[i]
+        facts["ell_gt_threshold"] = ell > threshold
+        ladder.append((label, [(h, facts[h]) for h in hyps], threshold))
+    return _ladder(s.theorem, [(h, facts[h]) for h in gate], ladder)
+
+
+def least_empty_prime(settings: Sequence[Setting], inv: FieldInvariants,
+                      divides_disc: bool = False, splits_in_K: bool = False) -> int | None:
+    """Least prime some setting certifies Empty, the flags read at every
+    prime as `PrimeSituation.of` reads them; None when no situation can fire.
+
+    A situation fires at the least prime above its threshold other than its
+    setting's ell0 and, if it needs ell_not_dividing_disc, the primes
+    dividing the discriminant.  Thresholds go in increasing order while they
+    can beat the best prime found, so `next_prime` meets one past its range
+    only when no smaller answer exists."""
+    rational = inv.d == 1
+    firing = []
+    for s in settings:
+        facts = {**s.facts, "ell_ne_ell0": True, "ell_gt_threshold": True,
+                 "ell_not_dividing_disc": rational or not divides_disc,
+                 "ell_does_not_split_in_K": rational or not splits_in_K}
+        gate, situations = THEOREMS[s.theorem]
+        for _, hyps, i in situations:
+            if all(facts[h] for h in gate + hyps):
+                coprime = not rational and "ell_not_dividing_disc" in hyps
+                firing.append((s.thresholds[i], coprime, s.ell0))
+    best = None
+    for threshold, coprime, ell0 in sorted(firing, key=lambda f: f[0]):
+        if best is not None and threshold + 1 >= best:
+            break
+        ell = next_prime(threshold)
+        while ell == ell0 or coprime and inv.disc % ell == 0:
+            ell = next_prime(ell)
+        best = ell if best is None else min(best, ell)
+    return best
+
+
+# ---- the decision entries ---------------------------------------------------
+
+def decide_cor1(inv: FieldInvariants, p: RepFamilyParams, ps: PrimeSituation) -> Verdict:
+    """Emptiness for the cyclotomic-graded uniform-weight family, via the
+    unprimed thresholds C1/C2."""
+    return decide(cor1_setting(inv, p), ps.ell, ps)
+
+
+def decide_cor2(inv: FieldInvariants, p: RepFamilyParams, ps: PrimeSituation) -> Verdict:
+    """Emptiness for the residually-Borel uniform-weight family, via the
+    primed thresholds C1'/C2'; requires ell non-split in K."""
+    return decide(cor2_setting(inv, p), ps.ell, ps)
+
+
+def decide_trivial(inv: FieldInvariants, p: RepFamilyParams, ell: int) -> Verdict:
+    """Parity shortcut: the Frobenius determinant has absolute value
+    q^{n*w/2} and must be a rational integer; when n and w are odd and K/Q
+    is Galois of odd degree every residue degree is odd, so q^{n*w/2} is
+    never an integer and the family is empty for every ell != ell0."""
+    return decide(trivial_setting(inv, p), ell, PrimeSituation.rational(ell))
 
 
 def decide_rt(
@@ -298,16 +388,7 @@ def decide_rt(
     st_with_ell0: thresholds 2*ell0^(2dgh+)*binom(2g,g) and
     2*ell0^(2d^2gh+)*binom(2g,g), gated on ell non-split in K and ell != ell0.
     """
-    thr_a, thr_b = rt_thresholds(inv, g, variant, ell0)
-    if variant == "st":
-        theorem = "RTst"
-        gate: list[tuple[str, bool]] = []
-    else:
-        if ell == ell0:
-            raise EllEqualsEll0(f"ell = ell0 = {ell} is outside the framework")
-        theorem = "GRTst"
-        gate = [("ell_does_not_split_in_K", not ps.splits_in_K)]
-    return _two_situations(theorem, ell, ps, thr_a, thr_b, inv.d, gate)
+    return decide(rt_setting(inv, g, variant, ell0), ell, ps)
 
 
 def decide_ec_irred(
@@ -315,9 +396,7 @@ def decide_ec_irred(
 ) -> Verdict:
     """Irreducibility of the ell-torsion of a semistable elliptic curve with
     good reduction above ell_E.  Empty here reads "E[ell] is irreducible"."""
-    thr_a, thr_b = ec_irred_thresholds(inv, ell_E)
-    gate = [("ell_does_not_split_in_K", not ps.splits_in_K)]
-    return _two_situations("Ell", ell, ps, thr_a, thr_b, inv.d, gate)
+    return decide(ec_irred_setting(inv, ell_E), ell, ps)
 
 
 def decide_etale(
@@ -326,34 +405,7 @@ def decide_etale(
     """Residual-Borel exclusion for odd-degree etale cohomology of Betti
     number b_w with good reduction above ell_X.  Empty here reads "the
     cohomology group is not residually Borel"."""
-    thr_a, thr_b = etale_thresholds(inv, b_w, ell_X, w)
-    gate = [("ell_does_not_split_in_K", not ps.splits_in_K)]
-    return _two_situations("Et", ell, ps, thr_a, thr_b, inv.d, gate)
-
-
-def _two_situations(
-    theorem: str,
-    ell: int,
-    ps: PrimeSituation,
-    thr_a: int,
-    thr_b: int,
-    d: int,
-    gate: list[tuple[str, bool]],
-) -> Verdict:
-    situations = [
-        ("a", [("ell_not_dividing_disc", not ps.divides_disc),
-               ("ell_gt_threshold", ell > thr_a)], thr_a),
-        ("b", [("degree_odd", d % 2 == 1),
-               ("ell_gt_threshold", ell > thr_b)], thr_b),
-    ]
-    for label, hyps, threshold in situations:
-        all_hyps = gate + hyps
-        if all(v for _, v in all_hyps):
-            return Verdict("Empty", theorem, label, threshold, tuple(all_hyps))
-    full = list(gate)
-    for label, hyps, _ in situations:
-        full.extend((f"{label}:{name}", v) for name, v in hyps)
-    return Verdict("NotDecided", theorem, None, 0, tuple(full))
+    return decide(etale_setting(inv, b_w, ell_X, w), ell, ps)
 
 
 def parity_obstruction(e: int, w: int, r: int, n: int) -> str:

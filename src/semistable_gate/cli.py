@@ -19,7 +19,10 @@ from .bounds import (
     FieldInvariants,
     PrimeSituation,
     RepFamilyParams,
+    Setting,
     Verdict,
+    cor1_setting,
+    cor2_setting,
     decide_cor1,
     decide_cor2,
     decide_ec_irred,
@@ -27,17 +30,18 @@ from .bounds import (
     decide_rt,
     decide_trivial,
     derived_constants,
+    ec_irred_setting,
+    etale_setting,
+    least_empty_prime,
+    lemma_bound,
+    rt_setting,
+    size_exponent,
+    trivial_setting,
 )
 from .errors import InternalConsistencyError, PreconditionError, SchemaError
-from .gate import (
-    CongruenceInstance,
-    counterexample_search,
-    forced_equality,
-    lemma_bound,
-    size_exponent,
-)
+from .gate import CongruenceInstance, counterexample_search, forced_equality
 from .intpoly import IntPolynomial, power_transform
-from .primes import is_prime, is_prime_power, next_prime
+from .primes import is_prime, is_prime_power
 from .tame import (
     TameCharacterExponent,
     canonical_exponent,
@@ -48,10 +52,6 @@ from .weil import WeilDatum, functional_equation_check, validate_weights
 
 TOOL = "semistable-gate"
 
-DECISION_COMMANDS = {"decide", "rt", "ec-irred", "etale"}
-
-_MIN_ELL_PRIME_SCAN = 100_000
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
@@ -61,17 +61,17 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         doc = _load_document(args)
-        cert = _dispatch(args.command, doc, args)
+        text = canonical_json(_dispatch(args.command, doc, args))
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 4
-    except (PreconditionError, ValueError) as exc:
+    except (PreconditionError, ValueError, OverflowError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
-    print(canonical_json(cert))
+    print(text)
     return 0
 
 
@@ -99,9 +99,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="accepted for compatibility; output is always JSON")
         p.add_argument("--ell", type=int, action="append",
                        help="override/add a prime ell to the query (repeatable)")
-        if name in DECISION_COMMANDS:
+        if name in DECISIONS:
             p.add_argument("--min-ell", action="store_true",
-                           help="report the least certified prime above the threshold")
+                           help="add the least prime certified Empty (null if none is)")
         if name == "gate-search":
             p.add_argument("--budget", type=int, default=10_000_000,
                            help="maximum corpus size")
@@ -219,15 +219,6 @@ def _parse_params(doc: dict) -> RepFamilyParams:
         raise SchemaError(str(exc)) from exc
 
 
-def _parse_situation(query: dict, inv: FieldInvariants, ell: int) -> PrimeSituation:
-    divides = query.get("divides_disc", False)
-    splits = query.get("splits_in_K", False)
-    if inv.d == 1:
-        # over the rationals there is nothing to split and disc = +/-1
-        divides, splits = False, False
-    return PrimeSituation(ell, divides_disc=divides, splits_in_K=splits)
-
-
 def _poly_from_query(coeffs: list[int]) -> IntPolynomial:
     try:
         return IntPolynomial(tuple(coeffs))
@@ -251,12 +242,10 @@ def _certificate(command: str, doc: dict, body: dict) -> dict:
 
 
 def _dispatch(command: str, doc: dict, args: argparse.Namespace) -> dict:
+    if command in DECISIONS:
+        return _cmd_decision(command, doc, args)
     handler = {
         "constants": _cmd_constants,
-        "decide": _cmd_decide,
-        "rt": _cmd_rt,
-        "ec-irred": _cmd_ec_irred,
-        "etale": _cmd_etale,
         "tame-weights": _cmd_tame_weights,
         "weil-check": _cmd_weil_check,
         "power-transform": _cmd_power_transform,
@@ -298,117 +287,74 @@ def _ell_list(query: dict) -> list[int]:
     return ells
 
 
-def _min_ell_scan(decide, ell0: int | None, start: int) -> int | None:
-    """Least prime strictly above `start` certified Empty by `decide`."""
-    ell = start
-    for _ in range(_MIN_ELL_PRIME_SCAN):
-        ell = next_prime(ell)
-        if ell0 is not None and ell == ell0:
-            continue
-        if decide(ell).conclusion == "Empty":
-            return ell
-    return None
-
-
-def _cmd_decide(doc: dict, args) -> dict:
-    _top_level(doc, {"field", "params", "query"})
-    inv = _parse_field(doc)
-    p = _parse_params(doc)
-    query = _query(doc, {"ell": "int_list"},
-                   {"divides_disc": bool, "splits_in_K": bool})
-    verdicts = []
-    thresholds = []
-    for ell in _ell_list(query):
-        ps = _parse_situation(query, inv, ell)
-        per_ell = [_verdict_body(decide_trivial(inv, p, ell))]
-        if ell != p.ell0:
-            if p.cyclotomic:
-                per_ell.append(_verdict_body(decide_cor1(inv, p, ps)))
-            per_ell.append(_verdict_body(decide_cor2(inv, p, ps)))
-        verdicts.append({"ell": ell, "verdicts": per_ell})
-    body: dict = {"verdicts": verdicts}
-    if getattr(args, "min_ell", False):
-        def run(ell: int) -> Verdict:
-            ps = _parse_situation(query, inv, ell)
-            v = decide_trivial(inv, p, ell)
-            if v.conclusion == "Empty":
-                return v
-            if p.cyclotomic:
-                v = decide_cor1(inv, p, ps)
-                if v.conclusion == "Empty":
-                    return v
-            return decide_cor2(inv, p, ps)
-        body["min_ell"] = _min_ell_scan(run, p.ell0, 1)
-    return _certificate("decide", doc, body)
-
-
-def _cmd_rt(doc: dict, args) -> dict:
-    _top_level(doc, {"field", "query"})
-    inv = _parse_field(doc)
-    query = _query(doc, {"g": int, "ell": "int_list", "variant": str},
-                   {"ell0": int, "divides_disc": bool, "splits_in_K": bool})
-    variant = query["variant"]
+def _check_rt(query: dict) -> None:
+    variant, ell0 = query["variant"], query.get("ell0")
     if variant not in ("st", "st_with_ell0"):
         raise SchemaError(f"query.variant must be 'st' or 'st_with_ell0', got {variant!r}")
-    ell0 = query.get("ell0")
     if variant == "st_with_ell0":
         if ell0 is None:
             raise SchemaError("query.ell0 is required for variant 'st_with_ell0'")
         _require_prime(ell0, "query.ell0")
     elif ell0 is not None:
         raise SchemaError("query.ell0 is only meaningful for variant 'st_with_ell0'")
-    verdicts = []
-    for ell in _ell_list(query):
-        ps = _parse_situation(query, inv, ell)
-        v = decide_rt(inv, query["g"], ell, ps, variant, ell0)
-        verdicts.append({"ell": ell, **_verdict_body(v)})
-    body: dict = {"verdicts": verdicts}
-    if getattr(args, "min_ell", False):
-        def run(ell: int) -> Verdict:
-            return decide_rt(inv, query["g"], ell, _parse_situation(query, inv, ell),
-                             variant, ell0)
-        body["min_ell"] = _min_ell_scan(run, ell0, 1)
-    return _certificate("rt", doc, body)
 
 
-def _cmd_ec_irred(doc: dict, args) -> dict:
-    _top_level(doc, {"field", "query"})
+def _uniform_weight_entry(inv, p, query, ps) -> dict:
+    verdicts = [decide_trivial(inv, p, ps.ell)]
+    if ps.ell != p.ell0:
+        if p.cyclotomic:
+            verdicts.append(decide_cor1(inv, p, ps))
+        verdicts.append(decide_cor2(inv, p, ps))
+    return {"verdicts": [_verdict_body(v) for v in verdicts]}
+
+
+def _uniform_weight_settings(inv, p, query) -> list[Setting]:
+    cor1 = [cor1_setting(inv, p)] if p.cyclotomic else []
+    return [trivial_setting(inv, p), *cor1, cor2_setting(inv, p)]
+
+
+# Decision commands: top-level sections, query schema and its optional keys
+# (the two prime-situation flags are always optional), a check of the parsed
+# query, the certificate entry at one prime, and the settings whose least
+# certified prime is min_ell.
+DECISIONS = {
+    "decide": (
+        {"field", "params", "query"}, {"ell": "int_list"}, {}, lambda q: None,
+        _uniform_weight_entry, _uniform_weight_settings),
+    "rt": (
+        {"field", "query"}, {"g": int, "ell": "int_list", "variant": str}, {"ell0": int},
+        _check_rt,
+        lambda inv, p, q, ps: _verdict_body(
+            decide_rt(inv, q["g"], ps.ell, ps, q["variant"], q.get("ell0"))),
+        lambda inv, p, q: [rt_setting(inv, q["g"], q["variant"], q.get("ell0"))]),
+    "ec-irred": (
+        {"field", "query"}, {"ell_E": int, "ell": "int_list"}, {},
+        lambda q: _require_prime(q["ell_E"], "query.ell_E"),
+        lambda inv, p, q, ps: _verdict_body(decide_ec_irred(inv, q["ell_E"], ps.ell, ps)),
+        lambda inv, p, q: [ec_irred_setting(inv, q["ell_E"])]),
+    "etale": (
+        {"field", "query"}, {"b_w": int, "ell_X": int, "w": int, "ell": "int_list"}, {},
+        lambda q: _require_prime(q["ell_X"], "query.ell_X"),
+        lambda inv, p, q, ps: _verdict_body(
+            decide_etale(inv, q["b_w"], q["ell_X"], q["w"], ps.ell, ps)),
+        lambda inv, p, q: [etale_setting(inv, q["b_w"], q["ell_X"], q["w"])]),
+}
+
+
+def _cmd_decision(command: str, doc: dict, args) -> dict:
+    sections, schema, optional, check, entry, settings = DECISIONS[command]
+    _top_level(doc, sections)
     inv = _parse_field(doc)
-    query = _query(doc, {"ell_E": int, "ell": "int_list"},
-                   {"divides_disc": bool, "splits_in_K": bool})
-    _require_prime(query["ell_E"], "query.ell_E")
-    verdicts = []
-    for ell in _ell_list(query):
-        ps = _parse_situation(query, inv, ell)
-        v = decide_ec_irred(inv, query["ell_E"], ell, ps)
-        verdicts.append({"ell": ell, **_verdict_body(v)})
-    body: dict = {"verdicts": verdicts}
-    if getattr(args, "min_ell", False):
-        def run(ell: int) -> Verdict:
-            return decide_ec_irred(inv, query["ell_E"], ell,
-                                   _parse_situation(query, inv, ell))
-        body["min_ell"] = _min_ell_scan(run, None, 1)
-    return _certificate("ec-irred", doc, body)
-
-
-def _cmd_etale(doc: dict, args) -> dict:
-    _top_level(doc, {"field", "query"})
-    inv = _parse_field(doc)
-    query = _query(doc, {"b_w": int, "ell_X": int, "w": int, "ell": "int_list"},
-                   {"divides_disc": bool, "splits_in_K": bool})
-    _require_prime(query["ell_X"], "query.ell_X")
-    verdicts = []
-    for ell in _ell_list(query):
-        ps = _parse_situation(query, inv, ell)
-        v = decide_etale(inv, query["b_w"], query["ell_X"], query["w"], ell, ps)
-        verdicts.append({"ell": ell, **_verdict_body(v)})
-    body: dict = {"verdicts": verdicts}
-    if getattr(args, "min_ell", False):
-        def run(ell: int) -> Verdict:
-            return decide_etale(inv, query["b_w"], query["ell_X"], query["w"], ell,
-                                _parse_situation(query, inv, ell))
-        body["min_ell"] = _min_ell_scan(run, None, 1)
-    return _certificate("etale", doc, body)
+    p = _parse_params(doc) if "params" in sections else None
+    query = _query(doc, schema, {**optional, "divides_disc": bool, "splits_in_K": bool})
+    check(query)
+    flags = (query.get("divides_disc", False), query.get("splits_in_K", False))
+    body: dict = {"verdicts": [
+        {"ell": ell, **entry(inv, p, query, PrimeSituation.of(inv, ell, *flags))}
+        for ell in _ell_list(query)]}
+    if args.min_ell:
+        body["min_ell"] = least_empty_prime(settings(inv, p, query), inv, *flags)
+    return _certificate(command, doc, body)
 
 
 def _cmd_tame_weights(doc: dict, args) -> dict:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Iterator
 
-from .bounds import central_binomial
+from .bounds import lemma_bound, size_exponent
 from .errors import CorpusTooLarge, LemmaViolation
 from .intpoly import IntPolynomial, from_prime_power_roots, poly_mul, power_transform
 from .primes import prime_power_base, primes_up_to
@@ -63,21 +63,6 @@ class GateVerdict:
     bound: int
     congruent: bool
     matched_weights: tuple[int, ...] | None = None
-
-
-def size_exponent(n: int, r: int, w_bar: int) -> Fraction:
-    """M = max{n*r, w_bar/2}, exact."""
-    return max(Fraction(n * r), Fraction(w_bar, 2))
-
-
-def lemma_bound(n: int, ell0: int, d: int, M, u: int) -> int:
-    """2 * c_n * ell0^(d*M*u), exact.
-
-    A fractional exponent (odd w_bar) is rounded up: a larger bound is
-    always sound.
-    """
-    exponent = math.ceil(Fraction(d) * Fraction(M) * Fraction(u))
-    return 2 * central_binomial(n) * ell0 ** exponent
 
 
 def symmetric_congruence(inst: CongruenceInstance) -> bool:

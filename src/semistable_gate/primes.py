@@ -56,24 +56,37 @@ def primes_up_to(limit: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) by bisection, keeping lo^k <= n < hi^k."""
+    lo, hi = 1, 1 << -(-n.bit_length() // k)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
+    return lo
+
+
+def _prime_power_root(n: int) -> int | None:
+    """The prime p with n = p^k, or None.  Taking k-th roots for each prime
+    k in turn, as often as they are exact, leaves the least root of n, which
+    is p exactly when n is a prime power."""
+    if n < 2:
+        return None
+    root = n
+    for k in primes_up_to(n.bit_length()):
+        if k > root.bit_length():
+            break
+        while (x := _iroot(root, k)) ** k == root:
+            root = x
+    return root if is_prime(root) else None
+
+
 def is_prime_power(n: int) -> bool:
     """True iff n = p^k for a prime p and k >= 1."""
-    if n < 2:
-        return False
-    for k in range(1, n.bit_length() + 1):
-        root = round(n ** (1 / k))
-        for cand in (root - 1, root, root + 1):
-            if cand >= 2 and cand ** k == n and is_prime(cand):
-                return True
-    return False
+    return _prime_power_root(n) is not None
 
 
 def prime_power_base(n: int) -> int:
     """The prime p with n = p^k; raises if n is not a prime power."""
-    if n >= 2:
-        for k in range(1, n.bit_length() + 1):
-            root = round(n ** (1 / k))
-            for cand in (root - 1, root, root + 1):
-                if cand >= 2 and cand ** k == n and is_prime(cand):
-                    return cand
-    raise ValueError(f"{n} is not a prime power")
+    if (p := _prime_power_root(n)) is None:
+        raise ValueError(f"{n} is not a prime power")
+    return p

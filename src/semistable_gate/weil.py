@@ -49,8 +49,10 @@ def root_abs_values(poly: IntPolynomial) -> list[float]:
     """Sorted absolute values of the complex roots, via the companion matrix."""
     if poly.degree > DEGREE_CAP:
         raise RootFindingFailure(f"degree {poly.degree} exceeds cap {DEGREE_CAP}")
-    # numpy wants highest degree first
-    roots = np.roots(list(reversed(poly.coeffs)))
+    try:  # numpy wants highest degree first
+        roots = np.roots([float(c) for c in reversed(poly.coeffs)])
+    except OverflowError as exc:
+        raise RootFindingFailure("a coefficient exceeds the float range") from exc
     if not np.all(np.isfinite(roots)):
         raise RootFindingFailure("root finder returned non-finite values")
     return sorted(abs(complex(z)) for z in roots)

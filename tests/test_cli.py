@@ -193,3 +193,27 @@ def test_no_floats_in_certificates(capsys):
             raise AssertionError("float in certificate")
 
         json.loads(out, parse_float=reject_float)
+
+
+def test_divides_disc_read_from_the_discriminant(capsys):
+    # 1009 divides disc = 1009, so situation (a) may not fire without the flag
+    doc = {"field": {"d": 2, "disc": 1009, "h_plus": 1}, "query": {"ell_E": 2, "ell": 1009}}
+    code, out, _ = run_cli(capsys, "ec-irred", doc)
+    assert code == 0
+    v = json.loads(out)["verdicts"][0]
+    assert v["conclusion"] == "NotDecided"
+    assert ["a:ell_not_dividing_disc", False] in v["trace"]
+
+
+def test_huge_prime_power_q_exits_3(capsys):
+    doc = {"query": {"poly": [2 ** 1100, 0, 1], "q": 2 ** 1100, "weights": [1, 1]}}
+    code, out, err = run_cli(capsys, "weil-check", doc)
+    assert code == 3 and out == "" and "float range" in err
+
+
+def test_oversized_certificate_exits_3(capsys):
+    # C2' = 2*252*2^20000 has past 6000 digits, beyond the int-to-str limit
+    doc = {"field": {"d": 10, "disc": 5, "h_plus": 10},
+           "params": {"n": 10, "ell0": 2, "r": 2, "variant": "bullet", "w": 1}}
+    code, out, err = run_cli(capsys, "constants", doc)
+    assert code == 3 and out == "" and "precondition failure" in err

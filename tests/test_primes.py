@@ -1,0 +1,16 @@
+from semistable_gate.primes import is_prime, is_prime_power, prime_power_base
+
+
+def test_prime_powers_match_trial_factorisation():
+    for n in range(-3, 3000):
+        factors = {p for p in range(2, max(n, 2) + 1) if n % p == 0 and is_prime(p)}
+        expected = n >= 2 and len(factors) == 1
+        assert is_prime_power(n) is expected, n
+        if expected:
+            assert prime_power_base(n) == factors.pop()
+
+
+def test_prime_power_base_beyond_float_range():
+    assert is_prime_power(2 ** 1100) and prime_power_base(2 ** 1100) == 2
+    assert prime_power_base(43 ** 20) == 43
+    assert not is_prime_power(2 ** 1100 * 3)
