@@ -33,9 +33,7 @@ from .bounds import (
     ec_irred_setting,
     etale_setting,
     least_empty_prime,
-    lemma_bound,
     rt_setting,
-    size_exponent,
     trivial_setting,
 )
 from .errors import InternalConsistencyError, PreconditionError, SchemaError
@@ -118,7 +116,7 @@ def _load_document(args: argparse.Namespace) -> dict:
         doc = json.loads(raw)
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be a JSON object")
@@ -447,10 +445,7 @@ def _cmd_gate_search(doc: dict, args) -> dict:
         "s": inst.s,
         "t": list(inst.t),
         "ell": inst.ell,
-        "bound": lemma_bound(inst.datum.poly.degree, inst.ell0, inst.d,
-                             size_exponent(inst.datum.poly.degree, inst.r,
-                                           inst.datum.weight_budget),
-                             inst.u),
+        "bound": inst.bound,
     } for inst in found]
     return _certificate("gate-search", doc, {
         "count": len(instances),

@@ -27,7 +27,7 @@ class LemmaViolation(InternalConsistencyError):
 
 
 class RootFindingFailure(PreconditionError):
-    """Numeric root finder refused the input (degree cap or non-convergence)."""
+    """Weil-weight validation refused the input: its degree exceeds the cap."""
 
 
 class WeightOutOfRange(PreconditionError):

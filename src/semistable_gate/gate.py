@@ -20,7 +20,7 @@ from typing import Iterator
 from .bounds import lemma_bound, size_exponent
 from .errors import CorpusTooLarge, LemmaViolation
 from .intpoly import IntPolynomial, from_prime_power_roots, poly_mul, power_transform
-from .primes import prime_power_base, primes_up_to
+from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
 
 
@@ -49,6 +49,12 @@ class CongruenceInstance:
     @property
     def ell0(self) -> int:
         return prime_power_base(self.datum.q)
+
+    @property
+    def bound(self) -> int:
+        n = self.datum.poly.degree
+        M = size_exponent(n, self.r, self.datum.weight_budget)
+        return lemma_bound(n, self.ell0, self.d, M, self.u)
 
 
 class GateOutcome(Enum):
@@ -82,9 +88,7 @@ def forced_equality(inst: CongruenceInstance) -> GateVerdict:
     """
     if not inst.datum.validate():
         raise ValueError("datum fails the root absolute-value check")
-    n = inst.datum.poly.degree
-    M = size_exponent(n, inst.r, inst.datum.weight_budget)
-    bound = lemma_bound(n, inst.ell0, inst.d, M, inst.u)
+    bound = inst.bound
     congruent = symmetric_congruence(inst)
     if not congruent:
         return GateVerdict(GateOutcome.NOT_CONGRUENT, bound, False)
@@ -130,11 +134,13 @@ def counterexample_search(
         raise ValueError("n must be 2 or 4")
     ell0 = prime_power_base(q)
     polys = list(_weight_one_products(q, n))
+    cells = len(polys) * sum(  # t: multisets of size n from 0..s
+        math.comb(s + n, n) for s in range(1, s_max + 1))
+    # refuse on a lower bound first: the sieve takes time and memory linear in ell_max
+    if (least := cells * (prime_count_lower_bound(ell_max) - 1)) > budget:
+        raise CorpusTooLarge(f"corpus size at least {least} exceeds budget {budget}")
     primes = [p for p in primes_up_to(ell_max) if p != ell0]
-    t_count = sum(
-        math.comb(s + n, n) for s in range(1, s_max + 1))  # multisets of size n from 0..s
-    corpus_size = len(polys) * t_count * len(primes)
-    if corpus_size > budget:
+    if (corpus_size := cells * len(primes)) > budget:
         raise CorpusTooLarge(f"corpus size {corpus_size} exceeds budget {budget}")
 
     found: list[CongruenceInstance] = []
@@ -149,11 +155,9 @@ def counterexample_search(
                 for ell in primes:
                     if all((a - b) % ell == 0 for a, b in zip(lhs.coeffs, rhs.coeffs)):
                         inst = CongruenceInstance(datum, s, s, t, ell)
-                        M = size_exponent(n, 1, n)
-                        bound = lemma_bound(n, ell0, 1, M, s)
-                        if ell > bound:
+                        if ell > inst.bound:
                             raise LemmaViolation(
-                                f"sub-bound guarantee violated: ell={ell} > {bound} "
+                                f"sub-bound guarantee violated: ell={ell} > {inst.bound} "
                                 f"for {poly}, s={s}, t={t}")
                         found.append(inst)
     found.sort(key=lambda i: (i.datum.poly.coeffs, i.s, i.t, i.ell))

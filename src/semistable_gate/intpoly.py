@@ -1,9 +1,9 @@
 """Exact monic integer polynomial arithmetic.
 
-Supports Newton power sums in both directions and the roots-to-s-th-powers
-transform.  All coefficient arithmetic uses Python ints, so nothing here can
-overflow.  Coefficients are stored lowest degree first: ``coeffs[i]`` is the
-coefficient of T^i.
+Supports Newton power sums in both directions, the roots-to-s-th-powers
+transform, gcds and Sturm real-root counts.  All coefficient arithmetic uses
+Python ints, so nothing here can overflow.  Coefficients are stored lowest
+degree first: ``coeffs[i]`` is the coefficient of T^i.
 """
 
 from __future__ import annotations
@@ -85,6 +85,51 @@ def poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         for j, b in enumerate(g.coeffs):
             out[i + j] += a * b
     return IntPolynomial(tuple(out))
+
+
+def _primitive(a: list[int]) -> list[int]:
+    """a without trailing zeros, over the (positive) gcd of its coefficients."""
+    while a and a[-1] == 0:
+        a.pop()
+    c = math.gcd(*a)
+    return [x // c for x in a] if c > 1 else a
+
+
+def _remainder_sequence(a: Sequence[int], b: Sequence[int]) -> list[list[int]]:
+    """a, b, then each negated remainder of the last two, times a positive
+    integer and primitive (unlike a Fraction Euclid's, coefficients stay
+    small), up to gcd(a, b); with b = a' a Sturm sequence."""
+    seq = [_primitive(list(a)), _primitive(list(b))]
+    while seq[-1]:
+        r, d = list(seq[-2]), seq[-1]
+        lead, sign = abs(d[-1]), 1 if d[-1] > 0 else -1
+        while len(r) >= len(d):
+            c, shift = r[-1] * sign, len(r) - len(d)
+            r = [lead * x for x in r]
+            for i, y in enumerate(d):
+                r[shift + i] -= c * y
+            r = _primitive(r)
+        seq.append([-x for x in r])
+    return seq[:-1]
+
+
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """gcd in Z[x], primitive, up to sign."""
+    return _remainder_sequence(a, b)[-1]
+
+
+def real_root_count(p: Sequence[int], lo: int, hi: int) -> int:
+    """Real roots of p in (lo, hi) with multiplicity; lo and hi are no roots.
+    Sturm counts distinct roots, and the sequence of p and its derivative
+    ends in gcd(p, p'), with the repeated roots once less; so repeat on it."""
+    count = 0
+    while len(p) > 1:
+        seq = _remainder_sequence(p, [i * c for i, c in enumerate(p)][1:])
+        for x, sign in ((lo, 1), (hi, -1)):
+            signs = [v > 0 for v in (sum(c * x ** i for i, c in enumerate(r)) for r in seq) if v]
+            count += sign * sum(a != b for a, b in zip(signs, signs[1:]))
+        p = seq[-1]
+    return count
 
 
 def power_sums(f: IntPolynomial, m: int) -> PowerSums:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -50,10 +52,16 @@ def primes_up_to(limit: int) -> list[int]:
         return []
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
-    for i in range(2, int(limit ** 0.5) + 1):
+    for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def prime_count_lower_bound(x: int) -> int:
+    """A lower bound on pi(x) without a sieve: pi(x) > x / ln x for x >= 17
+    (Rosser and Schoenfeld, 1962), ln x < x.bit_length(); tested below 17."""
+    return x // x.bit_length() if x > 1 else 0
 
 
 def _iroot(n: int, k: int) -> int:

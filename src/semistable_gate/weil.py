@@ -2,9 +2,10 @@
 
 A "Weil datum" is a characteristic polynomial together with a prime power q
 and a weight multiset; validity means every root has complex absolute value
-q^{w/2} for a matched weight w.  Root absolute values are checked numerically
-at a documented tolerance; the exact functional-equation test is a cheaper
-necessary condition for the uniform-weight case.
+q^{w/2} for a matched weight w, which is checked exactly by counting roots on
+circles (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
+The functional-equation test is a cheaper necessary condition for the
+uniform-weight case.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import RootFindingFailure
-from .intpoly import IntPolynomial
+from .intpoly import IntPolynomial, power_transform, poly_gcd, real_root_count
 
 DEGREE_CAP = 64
-DEFAULT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -41,67 +39,77 @@ class WeilDatum:
             raise ValueError(
                 f"total weight {sum(self.weights)} exceeds budget {self.weight_budget}")
 
-    def validate(self, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-        return validate_weights(self.poly, self.q, self.weights, tolerance)
+    def validate(self) -> bool:
+        return validate_weights(self.poly, self.q, self.weights)
 
 
-def root_abs_values(poly: IntPolynomial) -> list[float]:
-    """Sorted absolute values of the complex roots, via the companion matrix."""
-    if poly.degree > DEGREE_CAP:
-        raise RootFindingFailure(f"degree {poly.degree} exceeds cap {DEGREE_CAP}")
-    try:  # numpy wants highest degree first
-        roots = np.roots([float(c) for c in reversed(poly.coeffs)])
-    except OverflowError as exc:
-        raise RootFindingFailure("a coefficient exceeds the float range") from exc
-    if not np.all(np.isfinite(roots)):
-        raise RootFindingFailure("root finder returned non-finite values")
-    return sorted(abs(complex(z)) for z in roots)
-
-
-def validate_weights(poly: IntPolynomial, q: int, weights, tolerance: float = DEFAULT_TOLERANCE) -> bool:
-    """True iff the multiset of root absolute values matches {q^{w/2}}.
-
-    Both sides are sorted, so optimal matching reduces to pairwise comparison
-    at the given relative tolerance.
-    """
+def validate_weights(poly: IntPolynomial, q: int, weights) -> bool:
+    """True iff the root absolute values are {q^{w/2} : w in weights}: each
+    circle |z| = q^w carries as many roots alpha^2 as w has entries."""
     weights = sorted(int(w) for w in weights)
     if len(weights) != poly.degree:
         raise ValueError("weight multiset size must equal the polynomial degree")
-    if not 0 < tolerance < 0.5:
-        raise ValueError("tolerance must lie in (0, 0.5)")
-    observed = root_abs_values(poly)
-    targets = sorted(float(q) ** (w / 2) for w in weights)
+    if poly.degree > DEGREE_CAP:
+        raise RootFindingFailure(f"degree {poly.degree} exceeds cap {DEGREE_CAP}")
+    if weights and weights[0] < 0:
+        return False  # alpha * conj(alpha) = q^w < 1 is no algebraic integer
+    F = power_transform(poly, 2).coeffs
+    # Cauchy: every root has |z| < 1 + max|F_i|, which q^w passes by bit length
+    bound_bits = (1 + max(map(abs, F[:-1]), default=0)).bit_length()
     return all(
-        abs(a - b) <= tolerance * max(b, 1.0)
-        for a, b in zip(observed, targets)
-    )
+        w * (q.bit_length() - 1) < bound_bits and _circle_count(F, q ** w) == weights.count(w)
+        for w in set(weights))
+
+
+def _circle_count(F: tuple[int, ...], radius: int) -> int:
+    """Roots of F on |z| = radius, with multiplicity.  Past u = +-1, those of
+    f(u) = F(radius*u) on |u| = 1 are common to f and rev f (1/u = conj u), so
+    to f + rev f and f - rev f; each root in (-2, 2) of the gcd of their
+    traces is a conjugate pair there."""
+    f, plus = _strip_roots([c * radius ** i for i, c in enumerate(F)], 1)
+    f, minus = _strip_roots(f, -1)
+    h = poly_gcd(*(_trace([a + sign * b for a, b in zip(f, f[::-1])]) for sign in (1, -1)))
+    return plus + minus + 2 * real_root_count(h, -2, 2)
+
+
+def _strip_roots(a: list[int], x: int) -> tuple[list[int], int]:
+    """a with its roots x = +-1 divided out, and their number."""
+    count = 0
+    while a and not sum(c * x ** i for i, c in enumerate(a)):
+        a = [sum(a[j] * x ** (j - i - 1) for j in range(i + 1, len(a))) for i in range(len(a) - 1)]
+        count += 1
+    return a, count
+
+
+def _trace(a: list[int]) -> list[int]:
+    """h with u^k h(u + 1/u) = a(u) for (anti)palindromic a, rid of roots 0, +-1:
+    u^-k a = a_k + sum_j a_{k+j} D_j(y), D_j(u + 1/u) = u^j + u^-j."""
+    while a and not a[-1]:
+        a = a[1:-1]
+    a = _strip_roots(_strip_roots(a, 1)[0], -1)[0]
+    k = len(a) // 2
+    h, lower, dickson = a[k:k + 1] + [0] * k, [2], [0, 1]
+    for j in range(1, k + 1):
+        for i, c in enumerate(dickson):
+            h[i] += a[k + j] * c
+        lower, dickson = dickson, [s - t for s, t in zip([0] + dickson, lower + [0, 0])]
+    return h
 
 
 def functional_equation_check(poly: IntPolynomial, q: int, w: int) -> bool:
     """Exact necessary condition for uniform weight w: T^n * poly(q^w / T)
     equals +/- q^{nw/2} * poly(T) as an integer polynomial identity.
 
-    Returns False when n*w is odd (the right side is not integral).
+    False when w < 0 or n*w is odd (the right side is not integral), and by
+    bit lengths, before any power, when q^{nw} exceeds c_0^2, which it must equal.
     """
-    n = poly.degree
-    if (n * w) % 2 == 1:
+    n, c0 = poly.degree, poly.coeffs[0]
+    if w < 0 or n * w % 2 or n * w * (q.bit_length() - 1) >= 2 * abs(c0).bit_length():
         return False
-    qw = q ** w
+    qw, scale = q ** w, q ** (n * w // 2)
     # coefficient of T^i in T^n * poly(q^w/T) is coeffs[n-i] * q^{w*(n-i)}
-    lhs = [poly.coeffs[n - i] * qw ** (n - i) for i in range(n + 1)]
-    scale = isqrt_exact(q ** (n * w))
-    for sign in (1, -1):
-        if all(l == sign * scale * c for l, c in zip(lhs, poly.coeffs)):
-            return True
-    return False
-
-
-def isqrt_exact(m: int) -> int:
-    """Integer square root of a perfect square; raises otherwise."""
-    r = math.isqrt(m)
-    if r * r != m:
-        raise ValueError(f"{m} is not a perfect square")
-    return r
+    return any(all(poly.coeffs[n - i] * qw ** (n - i) == sign * scale * c
+                   for i, c in enumerate(poly.coeffs)) for sign in (1, -1))
 
 
 def enumerate_weil_quadratics(q: int, w: int) -> list[IntPolynomial]:

@@ -1,13 +1,19 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
+import time
 
 import pytest
 
 from semistable_gate import cli
+from semistable_gate.intpoly import IntPolynomial, poly_mul
 
 
 def run_cli(capsys, command, doc, *flags):
     import io, sys
-    payload = json.dumps(doc)
+    payload = doc if isinstance(doc, str) else json.dumps(doc)
     old_stdin = sys.stdin
     sys.stdin = io.StringIO(payload)
     try:
@@ -205,10 +211,11 @@ def test_divides_disc_read_from_the_discriminant(capsys):
     assert ["a:ell_not_dividing_disc", False] in v["trace"]
 
 
-def test_huge_prime_power_q_exits_3(capsys):
+def test_huge_prime_power_q_validates(capsys):
+    # roots +-i*2^550 have absolute value q^(1/2), past the float range
     doc = {"query": {"poly": [2 ** 1100, 0, 1], "q": 2 ** 1100, "weights": [1, 1]}}
-    code, out, err = run_cli(capsys, "weil-check", doc)
-    assert code == 3 and out == "" and "float range" in err
+    code, out, _ = run_cli(capsys, "weil-check", doc)
+    assert code == 0 and json.loads(out)["weights_valid"] is True
 
 
 def test_oversized_certificate_exits_3(capsys):
@@ -217,3 +224,76 @@ def test_oversized_certificate_exits_3(capsys):
            "params": {"n": 10, "ell0": 2, "r": 2, "variant": "bullet", "w": 1}}
     code, out, err = run_cli(capsys, "constants", doc)
     assert code == 3 and out == "" and "precondition failure" in err
+
+
+@pytest.mark.parametrize("factor,power,q,w", [
+    ([-1, 1], 3, 2, 0),      # (T-1)^3
+    ([2, 0, 1], 3, 2, 1),    # (T^2+2)^3, supersingular
+    ([-3, 1], 4, 3, 2),      # (T-3)^4
+    ([4, -2, 1], 3, 2, 2),   # (T^2-2T+4)^3
+])
+def test_repeated_roots_validate(capsys, factor, power, q, w):
+    poly = IntPolynomial((1,))
+    for _ in range(power):
+        poly = poly_mul(poly, IntPolynomial(tuple(factor)))
+    doc = {"query": {"poly": list(poly.coeffs), "q": q, "weights": [w] * poly.degree}}
+    code, out, _ = run_cli(capsys, "weil-check", doc)
+    assert code == 0 and json.loads(out)["weights_valid"] is True
+
+
+def test_gate_on_repeated_roots_exits_0(capsys):
+    # (T^2+2)^3: a valid datum the float root check refused
+    doc = {"query": {"poly": [8, 0, 12, 0, 6, 0, 1], "q": 2, "weights": [1] * 6,
+                     "s": 2, "u": 2, "t": [1] * 6, "ell": 7}}
+    code, out, _ = run_cli(capsys, "gate", doc)
+    assert code == 0
+    assert json.loads(out)["verdicts"][0]["outcome"] == "NotCongruent"
+
+
+def test_mixed_weights_with_a_double_root(capsys):
+    # (T-1)^2 (T-4) at q=2: |1| = 2^0 twice and |4| = 2^(4/2) once
+    doc = {"query": {"poly": [-4, 9, -6, 1], "q": 2, "weights": [0, 0, 4]}}
+    code, out, _ = run_cli(capsys, "weil-check", doc)
+    assert code == 0 and json.loads(out)["weights_valid"] is True
+    doc["query"]["weights"] = [0, 4, 4]
+    code, out, _ = run_cli(capsys, "weil-check", doc)
+    assert code == 0 and json.loads(out)["weights_valid"] is False
+
+
+def test_huge_weight_answers_at_once(capsys):
+    doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [10 ** 10, 10 ** 10]}}
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "weil-check", doc)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["weights_valid"] is False and cert["functional_equation"] is False
+
+
+def test_negative_weights_are_invalid(capsys):
+    doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [-1, -1]}}
+    code, out, _ = run_cli(capsys, "weil-check", doc)
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["weights_valid"] is False and cert["functional_equation"] is False
+
+
+def test_integer_past_the_digit_limit_exits_2(capsys):
+    raw = '{"field": {"d": 1, "disc": 1, "h_plus": 1}, "query": {"ell_E": %s, "ell": 17}}'
+    code, out, err = run_cli(capsys, "ec-irred", raw % ("1" * 5000))
+    assert code == 2 and out == "" and "schema error" in err
+
+
+def test_gate_search_refuses_a_huge_ell_max_before_sieving(capsys):
+    doc = {"query": {"q": 2, "n": 2, "s_max": 1, "ell_max": 10 ** 12}}
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "gate-search", doc)
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == "" and "exceeds budget" in err
+
+
+def test_cli_imports_without_numpy():
+    code = "import sys; sys.modules['numpy'] = None; import semistable_gate.cli"
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})

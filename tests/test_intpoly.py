@@ -9,9 +9,11 @@ from semistable_gate.intpoly import (
     IntPolynomial,
     from_power_sums,
     from_prime_power_roots,
+    poly_gcd,
     poly_mul,
     power_sums,
     power_transform,
+    real_root_count,
 )
 
 
@@ -120,3 +122,41 @@ def test_evaluation_and_str():
     f = IntPolynomial((2, 1, 1))
     assert f(0) == 2 and f(1) == 4 and f(-2) == 4
     assert "T^2" in str(f)
+
+
+def test_poly_gcd_examples():
+    # (x-1)^2 (x+2) and 6 (x-1)(x+3): gcd x - 1, primitive, up to sign
+    a, b = times([-1, 1], [-1, 1], [2, 1]), times([6], [-1, 1], [3, 1])
+    assert poly_gcd(a, b) in ([-1, 1], [1, -1])
+    assert poly_gcd(times(a, a, [5, 0, 1]), times(a, [7, 1])) in (a, [-c for c in a])
+    assert poly_gcd([2, 0, 1], [3, 1]) in ([1], [-1])
+    assert poly_gcd([0, 4, 2], []) == [0, 2, 1]
+
+
+def times(*factors):
+    """Product of integer polynomials given lowest degree first."""
+    out = [1]
+    for f in factors:
+        out = [sum(out[j] * f[i - j] for j in range(len(out)) if 0 <= i - j < len(f))
+               for i in range(len(out) + len(f) - 1)]
+    return out
+
+
+def test_real_root_count_with_multiplicity():
+    # (y - 1)^3 (y - 3) (2y + 1): roots 1, 1, 1, 3 and -1/2
+    p = times([-1, 1], [-1, 1], [-1, 1], [-3, 1], [1, 2])
+    assert real_root_count(p, -2, 2) == 4
+    assert real_root_count(p, -2, 4) == 5
+    assert real_root_count(p, 0, 2) == 3
+    assert real_root_count([-c for c in p], -2, 2) == 4
+    assert real_root_count(times([1, 0, 1], [1, -3]), -2, 2) == 1  # (y^2 + 1)(1 - 3y)
+    assert real_root_count([5], -2, 2) == 0
+
+
+@given(st.lists(st.tuples(st.integers(-6, 6), st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                min_size=1, max_size=6))
+@settings(deadline=None)
+def test_real_root_count_matches_the_factors(factors):
+    # root 2r of lead*(y - 2r), with either sign of lead: the odd ends are never roots
+    p = times(*([-2 * r * lead, lead] for r, lead in factors))
+    assert real_root_count(p, -5, 5) == sum(abs(r) <= 2 for r, _ in factors)

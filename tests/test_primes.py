@@ -1,4 +1,10 @@
-from semistable_gate.primes import is_prime, is_prime_power, prime_power_base
+from semistable_gate.primes import (
+    is_prime,
+    is_prime_power,
+    prime_count_lower_bound,
+    prime_power_base,
+    primes_up_to,
+)
 
 
 def test_prime_powers_match_trial_factorisation():
@@ -14,3 +20,13 @@ def test_prime_power_base_beyond_float_range():
     assert is_prime_power(2 ** 1100) and prime_power_base(2 ** 1100) == 2
     assert prime_power_base(43 ** 20) == 43
     assert not is_prime_power(2 ** 1100 * 3)
+
+
+def test_prime_count_lower_bound_below_exact_count():
+    sieve = primes_up_to(10 ** 5)
+    count = 0
+    for x in range(-2, 10 ** 5 + 1):
+        while count < len(sieve) and sieve[count] <= x:
+            count += 1
+        assert prime_count_lower_bound(x) <= count, x
+    assert prime_count_lower_bound(10 ** 12) > 10 ** 10  # refuses a sweep before sieving

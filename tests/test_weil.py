@@ -1,8 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from semistable_gate.errors import RootFindingFailure
 from semistable_gate.intpoly import IntPolynomial, poly_mul
@@ -64,7 +65,7 @@ def test_enumerate_weil_quadratics_examples():
 @pytest.mark.parametrize("q,w", [(2, 0), (2, 1), (2, 2), (3, 1), (4, 1), (5, 2)])
 def test_enumerated_quadratics_validate(q, w):
     for p in enumerate_weil_quadratics(q, w):
-        assert validate_weights(p, q, [w, w], tolerance=1e-6), p
+        assert validate_weights(p, q, [w, w]), p
 
 
 def test_product_validates_with_union_multiset():
@@ -88,3 +89,54 @@ def test_functional_equation_holds_on_weil_quadratics(q, w, idx):
     p = polys[idx % len(polys)]
     # necessary condition: every genuine uniform-weight datum passes
     assert functional_equation_check(p, q, w)
+
+
+def test_roots_on_the_real_axis_and_at_zero():
+    # T^2 (T - 2)(T + 2) at q=4: 0 lies on no circle; +-2 on |z| = 4^(1/2)
+    f = IntPolynomial((0, 0, -4, 0, 1))
+    assert not validate_weights(f, 4, [0, 0, 1, 1])
+    # (T - 1)(T + 1)(T - 4)(T + 4) at q=2: weights 0, 0, 4, 4
+    g = poly_mul(IntPolynomial((-1, 0, 1)), IntPolynomial((-16, 0, 1)))
+    assert validate_weights(g, 2, [0, 0, 4, 4])
+    assert not validate_weights(g, 2, [0, 2, 2, 4])
+
+
+# (q, [(w, index into enumerate_weil_quadratics(q, w)), ...])
+weil_products = st.tuples(
+    st.sampled_from([2, 3, 4, 5]),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10 ** 6)), min_size=1, max_size=4))
+
+
+@given(weil_products)
+@example((2, [(1, 2)] * 3))      # (T^2 + 2)^3
+@example((3, [(2, 0)] * 2))      # (T + 3)^4
+@example((4, [(1, 0), (1, 8), (0, 0)]))  # double roots -2, 2 and -1
+@settings(deadline=None)
+def test_products_of_weil_quadratics_validate(case):
+    # every product of Weil quadratics, repeated factors and double roots included
+    q, picks = case
+    poly, weights = IntPolynomial((1,)), []
+    for w, i in picks:
+        quadratics = enumerate_weil_quadratics(q, w)
+        poly = poly_mul(poly, quadratics[i % len(quadratics)])
+        weights += [w, w]
+    assert validate_weights(poly, q, weights)
+
+
+@given(weil_products, st.lists(st.sampled_from([0, 0, 1, -1]), min_size=4, max_size=4))
+@settings(deadline=None)
+def test_validate_weights_agrees_with_numpy_on_separated_roots(case, shifts):
+    # T^2 - a*T + q^w + shift: shift != 0 moves both roots off the circle
+    q, picks = case
+    poly, weights = IntPolynomial((1,)), []
+    for (w, i), shift in zip(picks, shifts):
+        a_max = math.isqrt(4 * q ** w)
+        poly = poly_mul(poly, IntPolynomial((q ** w + shift, -(i % (2 * a_max + 1) - a_max), 1)))
+        weights += [w, w]
+    roots = np.roots(list(reversed(poly.coeffs)))
+    # the float oracle is reliable only on well-separated roots
+    assume(min(abs(x - y) for x, y in combinations(roots, 2)) > 0.05)
+    observed = sorted(abs(roots))
+    targets = sorted(q ** (w / 2) for w in weights)
+    expected = all(abs(x - y) <= 1e-9 * y for x, y in zip(observed, targets))
+    assert validate_weights(poly, q, weights) == expected
