@@ -7,57 +7,54 @@ one at d times the exponent of its (a)-type partner.  A `Setting` applies a
 theorem to one family; `decide` runs its ladder at one prime, and
 `least_empty_prime` finds in closed form the least prime it certifies.  All
 arithmetic is exact, and a decision is Empty, with a hypothesis trace, or
-NotDecided: no procedure ever asserts non-emptiness.
+NotDecided: no procedure ever asserts non-emptiness.  The records
+(`FieldInvariants`, `Verdict`, ...) are named tuples, which cost nothing to
+define at import time; those with constraints check them when built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Literal, Sequence
 
 from .errors import EllEqualsEll0, WEven
 from .primes import next_prime
 
 
-@dataclass(frozen=True)
-class FieldInvariants:
+class FieldInvariants(namedtuple("FieldInvariants", "d disc h_plus galois_odd_degree")):
     """Degree, discriminant and narrow class number of the base field."""
 
-    d: int
-    disc: int
-    h_plus: int
-    galois_odd_degree: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.d < 1 or self.h_plus < 1:
+    def __new__(cls, d: int, disc: int, h_plus: int, galois_odd_degree: bool = False):
+        if d < 1 or h_plus < 1:
             raise ValueError("d and h_plus must be positive")
-        if self.disc == 0:
+        if disc == 0:
             raise ValueError("discriminant must be nonzero")
-        if self.galois_odd_degree and self.d % 2 == 0:
+        if galois_odd_degree and d % 2 == 0:
             raise ValueError("galois_odd_degree requires odd d")
+        return super().__new__(cls, d, disc, h_plus, galois_odd_degree)
 
 
-@dataclass(frozen=True)
-class PrimeSituation:
+class PrimeSituation(namedtuple("PrimeSituation", "ell divides_disc splits_in_K",
+                                defaults=(False, False))):
     """Caller-supplied splitting data for a prime ell in the base field.
 
     For d = 1 both flags are forced to False: over the rationals there is a
     unique place above ell and the discriminant is 1.
     """
 
-    ell: int
-    divides_disc: bool = False
-    splits_in_K: bool = False
+    __slots__ = ()
 
     @staticmethod
-    def rational(ell: int) -> "PrimeSituation":
+    def rational(ell: int) -> PrimeSituation:
         return PrimeSituation(ell, divides_disc=False, splits_in_K=False)
 
     @staticmethod
     def of(inv: FieldInvariants, ell: int, divides_disc: bool = False,
-           splits_in_K: bool = False) -> "PrimeSituation":
+           splits_in_K: bool = False) -> PrimeSituation:
         """The flags read soundly: over Q neither can hold, and otherwise ell
         divides the discriminant whenever it does in fact, so a flag can only
         make a verdict more conservative."""
@@ -66,36 +63,31 @@ class PrimeSituation:
         return PrimeSituation(ell, divides_disc or inv.disc % ell == 0, splits_in_K)
 
 
-@dataclass(frozen=True)
-class RepFamilyParams:
+class RepFamilyParams(namedtuple("RepFamilyParams", "n ell0 r variant w w_bar cyclotomic")):
     """Family parameters: dimension n, auxiliary prime ell0, Hodge-Tate bound
-    r, and either a uniform weight w (bullet) or a weight budget w_bar
-    (circle).  cyclotomic flags the subfamily with cyclotomic-power graded
-    pieces."""
+    r, and either a uniform weight w (variant "bullet") or a weight budget
+    w_bar (variant "circle").  cyclotomic flags the subfamily with
+    cyclotomic-power graded pieces."""
 
-    n: int
-    ell0: int
-    r: int
-    variant: Literal["bullet", "circle"]
-    w: int | None = None
-    w_bar: int | None = None
-    cyclotomic: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or self.r < 0:
+    def __new__(cls, n: int, ell0: int, r: int, variant: str, w: int | None = None,
+                w_bar: int | None = None, cyclotomic: bool = False):
+        if n < 1 or r < 0:
             raise ValueError("need n >= 1 and r >= 0")
-        if self.variant == "bullet":
-            if self.w is None or self.w_bar is not None:
+        if variant == "bullet":
+            if w is None or w_bar is not None:
                 raise ValueError("bullet variant takes w only; w_bar is derived")
-            if self.w < 0:
+            if w < 0:
                 raise ValueError("w must be non-negative")
-        elif self.variant == "circle":
-            if self.w_bar is None or self.w is not None:
+        elif variant == "circle":
+            if w_bar is None or w is not None:
                 raise ValueError("circle variant takes w_bar only")
-            if self.w_bar < 0:
+            if w_bar < 0:
                 raise ValueError("w_bar must be non-negative")
         else:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ValueError(f"unknown variant {variant!r}")
+        return super().__new__(cls, n, ell0, r, variant, w, w_bar, cyclotomic)
 
     @property
     def weight_budget(self) -> int:
@@ -103,30 +95,12 @@ class RepFamilyParams:
         return self.n * self.w if self.variant == "bullet" else self.w_bar
 
 
-@dataclass(frozen=True)
-class DerivedConstants:
-    M: Fraction
-    c_n: int
-    eps1: Fraction
-    eps2: Fraction
-    eps1p: Fraction
-    eps2p: Fraction
-    C1: int
-    C2: int
-    C1p: int
-    C2p: int
+DerivedConstants = namedtuple(
+    "DerivedConstants", "M c_n eps1 eps2 eps1p eps2p C1 C2 C1p C2p")
 
-
-Conclusion = Literal["Empty", "NotDecided"]
-
-
-@dataclass(frozen=True)
-class Verdict:
-    conclusion: Conclusion
-    theorem: str
-    situation: str | None
-    threshold: int
-    trace: tuple[tuple[str, bool], ...]
+# conclusion is "Empty" or "NotDecided"; situation is None when NotDecided;
+# trace is a tuple of (hypothesis name, truth) pairs.
+Verdict = namedtuple("Verdict", "conclusion theorem situation threshold trace")
 
 
 def central_binomial(n: int) -> int:
@@ -175,10 +149,11 @@ def derived_constants(inv: FieldInvariants, p: RepFamilyParams) -> DerivedConsta
 def rt_thresholds(
     inv: FieldInvariants,
     g: int,
-    variant: Literal["st", "st_with_ell0"],
+    variant: str,
     ell0: int | None = None,
 ) -> tuple[int, int]:
-    """(situation-a, situation-b) thresholds for the torsion-tower family."""
+    """(situation-a, situation-b) thresholds for the torsion-tower family;
+    variant is "st" or "st_with_ell0"."""
     if g < 1:
         raise ValueError("g must be positive")
     if variant == "st":
@@ -233,17 +208,13 @@ THEOREMS = {
 }
 
 
-@dataclass(frozen=True)
-class Setting:
+class Setting(namedtuple("Setting", "theorem thresholds facts ell0", defaults=(None,))):
     """A theorem applied to one family: its (a, b) thresholds, the truth of
-    the hypotheses that do not depend on ell, and the prime ell0 it never
-    certifies (NotDecided under an ell_ne_ell0 hypothesis, else outside the
-    framework)."""
+    the hypotheses that do not depend on ell (a dict), and the prime ell0 it
+    never certifies (NotDecided under an ell_ne_ell0 hypothesis, else
+    outside the framework)."""
 
-    theorem: str
-    thresholds: tuple[int, int]
-    facts: dict[str, bool]
-    ell0: int | None = None
+    __slots__ = ()
 
 
 def _facts(inv: FieldInvariants, p: RepFamilyParams | None = None) -> dict[str, bool]:
@@ -277,7 +248,7 @@ def cor2_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
     return Setting("Cor2", (c.C1p, c.C2p), facts, p.ell0)
 
 
-def rt_setting(inv: FieldInvariants, g: int, variant: Literal["st", "st_with_ell0"],
+def rt_setting(inv: FieldInvariants, g: int, variant: str,
                ell0: int | None = None) -> Setting:
     thresholds = rt_thresholds(inv, g, variant, ell0)
     st = variant == "st"
@@ -378,7 +349,7 @@ def decide_rt(
     g: int,
     ell: int,
     ps: PrimeSituation,
-    variant: Literal["st", "st_with_ell0"] = "st",
+    variant: str = "st",
     ell0: int | None = None,
 ) -> Verdict:
     """Emptiness of the semistable torsion-tower family of g-dimensional

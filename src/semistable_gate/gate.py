@@ -11,11 +11,11 @@ polynomials, which is equivalent because both sides split there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Iterator
 
 from .bounds import lemma_bound, size_exponent
 from .errors import CorpusTooLarge, LemmaViolation
@@ -24,27 +24,23 @@ from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
 
 
-@dataclass(frozen=True)
-class CongruenceInstance:
-    datum: WeilDatum
-    s: int
-    u: int
-    t: tuple[int, ...]
-    ell: int
-    d: int = 1
-    r: int = 1
+class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r")):
+    """The congruence {alpha_k^s} = {q^(t_k)} mod ell for a Weil datum, over
+    a field of degree d with Hodge-Tate bound r; t is kept sorted."""
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "t", tuple(sorted(int(x) for x in self.t)))
-        n = self.datum.poly.degree
-        if len(self.t) != n:
+    __slots__ = ()
+
+    def __new__(cls, datum: WeilDatum, s: int, u: int, t, ell: int, d: int = 1, r: int = 1):
+        t = tuple(sorted(int(x) for x in t))
+        if len(t) != datum.poly.degree:
             raise ValueError("t must have one entry per eigenvalue")
-        if not 0 <= self.s <= self.u:
-            raise ValueError(f"need 0 <= s <= u, got s={self.s}, u={self.u}")
-        if any(not 0 <= tk <= self.r * self.u for tk in self.t):
-            raise ValueError(f"every t_k must lie in [0, r*u] = [0, {self.r * self.u}]")
-        if self.datum.q % self.ell == 0:
+        if not 0 <= s <= u:
+            raise ValueError(f"need 0 <= s <= u, got s={s}, u={u}")
+        if any(not 0 <= tk <= r * u for tk in t):
+            raise ValueError(f"every t_k must lie in [0, r*u] = [0, {r * u}]")
+        if datum.q % ell == 0:
             raise ValueError("ell must not divide q")
+        return super().__new__(cls, datum, s, u, t, ell, d, r)
 
     @property
     def ell0(self) -> int:
@@ -63,12 +59,8 @@ class GateOutcome(Enum):
     NOT_CONGRUENT = "NotCongruent"
 
 
-@dataclass(frozen=True)
-class GateVerdict:
-    outcome: GateOutcome
-    bound: int
-    congruent: bool
-    matched_weights: tuple[int, ...] | None = None
+GateVerdict = namedtuple("GateVerdict", "outcome bound congruent matched_weights",
+                         defaults=(None,))
 
 
 def symmetric_congruence(inst: CongruenceInstance) -> bool:
@@ -152,8 +144,10 @@ def counterexample_search(
                 rhs = from_prime_power_roots(q, t)
                 if lhs == rhs:
                     continue
+                # read once: a named-tuple field read costs a descriptor call
+                lc, rc = lhs.coeffs, rhs.coeffs
                 for ell in primes:
-                    if all((a - b) % ell == 0 for a, b in zip(lhs.coeffs, rhs.coeffs)):
+                    if all((a - b) % ell == 0 for a, b in zip(lc, rc)):
                         inst = CongruenceInstance(datum, s, s, t, ell)
                         if ell > inst.bound:
                             raise LemmaViolation(

@@ -3,30 +3,32 @@
 Supports Newton power sums in both directions, the roots-to-s-th-powers
 transform, gcds and Sturm real-root counts.  All coefficient arithmetic uses
 Python ints, so nothing here can overflow.  Coefficients are stored lowest
-degree first: ``coeffs[i]`` is the coefficient of T^i.
+degree first: ``coeffs[i]`` is the coefficient of T^i.  `IntPolynomial` and
+`PowerSums` are named tuples (immutable, hashable, equal by value) that check
+and coerce their fields to int when built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 
 from .errors import NonIntegralSymmetricFunction
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
+class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     """Monic polynomial with integer coefficients, lowest degree first."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __new__(cls, coeffs: Iterable[int]):
+        coeffs = tuple(int(c) for c in coeffs)
+        if not coeffs:
             raise ValueError("empty coefficient sequence")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if self.coeffs[-1] != 1:
-            raise ValueError(f"polynomial is not monic: leading coefficient {self.coeffs[-1]}")
+        if coeffs[-1] != 1:
+            raise ValueError(f"polynomial is not monic: leading coefficient {coeffs[-1]}")
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:
@@ -58,15 +60,13 @@ class IntPolynomial:
         return " ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class PowerSums:
+class PowerSums(namedtuple("PowerSums", "values source_degree")):
     """p_1, ..., p_m of the roots of a monic degree-n integer polynomial."""
 
-    values: tuple[int, ...]
-    source_degree: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+    def __new__(cls, values: Iterable[int], source_degree: int):
+        return super().__new__(cls, tuple(int(v) for v in values), source_degree)
 
 
 def monic_from_elementary(e: Sequence[int]) -> IntPolynomial:

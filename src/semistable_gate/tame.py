@@ -9,28 +9,24 @@ ever evaluated; everything is exponent arithmetic.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .errors import WeightOutOfRange
 from .primes import is_prime
 
 
-@dataclass(frozen=True)
-class TameCharacterExponent:
-    ell: int
-    level: int
-    exponent: int
+class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level exponent")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.ell):
-            raise ValueError(f"ell = {self.ell} is not prime")
-        if self.level < 1:
+    def __new__(cls, ell: int, level: int, exponent: int):
+        if not is_prime(ell):
+            raise ValueError(f"ell = {ell} is not prime")
+        if level < 1:
             raise ValueError("level must be positive")
-        modulus = self.ell ** self.level - 1
-        if not 0 <= self.exponent <= modulus - 1:
-            raise ValueError(
-                f"exponent must lie in [0, {modulus - 1}], got {self.exponent}")
+        modulus = ell ** level - 1
+        if not 0 <= exponent <= modulus - 1:
+            raise ValueError(f"exponent must lie in [0, {modulus - 1}], got {exponent}")
+        return super().__new__(cls, ell, level, exponent)
 
     @property
     def modulus(self) -> int:

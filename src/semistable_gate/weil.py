@@ -11,7 +11,7 @@ uniform-weight case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import RootFindingFailure
 from .intpoly import IntPolynomial, power_transform, poly_gcd, real_root_count
@@ -19,25 +19,22 @@ from .intpoly import IntPolynomial, power_transform, poly_gcd, real_root_count
 DEGREE_CAP = 64
 
 
-@dataclass(frozen=True)
-class WeilDatum:
+class WeilDatum(namedtuple("WeilDatum", "poly q weights weight_budget")):
     """A monic integer polynomial asserted to have roots of absolute values
-    q^{w_k/2}, with total weight at most weight_budget."""
+    q^{w_k/2}, with total weight at most weight_budget; weights are kept
+    sorted."""
 
-    poly: IntPolynomial
-    q: int
-    weights: tuple[int, ...]
-    weight_budget: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(sorted(int(w) for w in self.weights)))
-        if len(self.weights) != self.poly.degree:
+    def __new__(cls, poly: IntPolynomial, q: int, weights, weight_budget: int):
+        weights = tuple(sorted(int(w) for w in weights))
+        if len(weights) != poly.degree:
             raise ValueError("weight multiset size must equal the polynomial degree")
-        if any(w < 0 for w in self.weights):
+        if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
-        if sum(self.weights) > self.weight_budget:
-            raise ValueError(
-                f"total weight {sum(self.weights)} exceeds budget {self.weight_budget}")
+        if sum(weights) > weight_budget:
+            raise ValueError(f"total weight {sum(weights)} exceeds budget {weight_budget}")
+        return super().__new__(cls, poly, q, weights, weight_budget)
 
     def validate(self) -> bool:
         return validate_weights(self.poly, self.q, self.weights)

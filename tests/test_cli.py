@@ -292,6 +292,25 @@ def test_gate_search_refuses_a_huge_ell_max_before_sieving(capsys):
     assert code == 3 and out == "" and "exceeds budget" in err
 
 
+@pytest.mark.xfail(strict=True, reason="gate-search takes no field degree: it uses d = 1, so "
+                   "the forcing bound ell0^(d*M*u) is too small for q = ell0^f with f > 1")
+@pytest.mark.parametrize("q,ell_max", [(27, 50), (32, 50), (125, 200)])
+def test_gate_search_over_a_prime_power_q_keeps_the_bound(capsys, q, ell_max):
+    doc = {"query": {"q": q, "n": 2, "s_max": 1, "ell_max": ell_max}}
+    code, _, err = run_cli(capsys, "gate-search", doc)
+    assert code in (0, 2, 3), err
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # compared with a snapshot: site .pth files may load some of them first
+    code = ("import sys; before = set(sys.modules); import semistable_gate.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"
+
+
 def test_cli_imports_without_numpy():
     code = "import sys; sys.modules['numpy'] = None; import semistable_gate.cli"
     src = pathlib.Path(cli.__file__).resolve().parents[1]
