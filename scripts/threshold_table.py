@@ -6,9 +6,9 @@ import argparse
 
 from semistable_gate.bounds import (
     FieldInvariants,
-    ec_irred_thresholds,
-    etale_thresholds,
-    rt_thresholds,
+    ec_irred_setting,
+    etale_setting,
+    rt_setting,
 )
 
 
@@ -25,7 +25,7 @@ def main() -> None:
     for d in range(1, args.d_max + 1):
         inv = FieldInvariants(d, 5, 1)
         for g in range(1, args.g_max + 1):
-            a, b = rt_thresholds(inv, g, "st")
+            a, b = rt_setting(inv, g, "st").thresholds
             print(f"{d:>3} {g:>3} {a:>16} {b:>20}")
 
     print(f"\nelliptic-curve torsion irreducibility (ell_E = {args.ell0}):")
@@ -33,7 +33,7 @@ def main() -> None:
     for d in range(1, args.d_max + 1):
         for h in range(1, args.h_max + 1):
             inv = FieldInvariants(d, 5, h)
-            a, b = ec_irred_thresholds(inv, args.ell0)
+            a, b = ec_irred_setting(inv, args.ell0).thresholds
             print(f"{d:>3} {h:>3} {a:>16} {b:>20}")
 
     print(f"\netale cohomology, b_w = 2, w = 1 (ell_X = {args.ell0}):")
@@ -41,7 +41,7 @@ def main() -> None:
     for d in range(1, args.d_max + 1):
         for h in range(1, args.h_max + 1):
             inv = FieldInvariants(d, 5, h)
-            a, b = etale_thresholds(inv, 2, args.ell0, 1)
+            a, b = etale_setting(inv, 2, args.ell0, 1).thresholds
             print(f"{d:>3} {h:>3} {a:>16} {b:>20}")
 
 

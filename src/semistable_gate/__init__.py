@@ -8,8 +8,12 @@ from .bounds import (
     FieldInvariants,
     PrimeSituation,
     RepFamilyParams,
+    Setting,
     Verdict,
     central_binomial,
+    cor1_setting,
+    cor2_setting,
+    decide,
     decide_cor1,
     decide_cor2,
     decide_ec_irred,
@@ -17,11 +21,13 @@ from .bounds import (
     decide_rt,
     decide_trivial,
     derived_constants,
-    ec_irred_thresholds,
-    etale_thresholds,
+    ec_irred_setting,
+    etale_setting,
+    least_empty_prime,
     lemma_bound,
     parity_obstruction,
-    rt_thresholds,
+    rt_setting,
+    trivial_setting,
 )
 from .gate import (
     CongruenceInstance,
@@ -42,11 +48,8 @@ from .intpoly import (
 from .tame import (
     TameCharacterExponent,
     canonical_exponent,
-    caruso_range_check,
     digit_weights,
     frobenius_orbit,
-    is_uniform,
-    level_one_norm_exponent,
 )
 from .weil import (
     WeilDatum,

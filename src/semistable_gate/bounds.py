@@ -4,12 +4,15 @@ The emptiness theorems are data: `THEOREMS` gives each a gate of named
 hypotheses and situations tried in order, each (label, hypotheses,
 threshold).  Every threshold is `lemma_bound`, 2*c*base^ceil(e), a (b)-type
 one at d times the exponent of its (a)-type partner.  A `Setting` applies a
-theorem to one family; `decide` runs its ladder at one prime, and
-`least_empty_prime` finds in closed form the least prime it certifies.  All
-arithmetic is exact, and a decision is Empty, with a hypothesis trace, or
-NotDecided: no procedure ever asserts non-emptiness.  The records
-(`FieldInvariants`, `Verdict`, ...) are named tuples, which cost nothing to
-define at import time; those with constraints check them when built.
+theorem to one family (`trivial_setting`, ..., `etale_setting`); `decide`
+runs its ladder at one prime, and `least_empty_prime` finds in closed form
+the least prime it certifies.  The CLI builds a query's settings once and
+uses these two; the `decide_*` functions are library entries that build a
+setting and decide at one prime.  All arithmetic is exact, and a decision
+is Empty, with a hypothesis trace, or NotDecided: no procedure ever asserts
+non-emptiness.  The records (`FieldInvariants`, `Verdict`, ...) are named
+tuples, which cost nothing to define at import time; those with constraints
+check them when built.
 """
 
 from __future__ import annotations
@@ -146,39 +149,6 @@ def derived_constants(inv: FieldInvariants, p: RepFamilyParams) -> DerivedConsta
         eps1p=d * h * M, eps2p=d * d * h * M, C1=C1, C2=C2, C1p=C1p, C2p=C2p)
 
 
-def rt_thresholds(
-    inv: FieldInvariants,
-    g: int,
-    variant: str,
-    ell0: int | None = None,
-) -> tuple[int, int]:
-    """(situation-a, situation-b) thresholds for the torsion-tower family;
-    variant is "st" or "st_with_ell0"."""
-    if g < 1:
-        raise ValueError("g must be positive")
-    if variant == "st":
-        return _a_b(2 * g, 2, inv.d, 2 * g, 1)
-    if variant == "st_with_ell0":
-        if ell0 is None:
-            raise ValueError("st_with_ell0 requires ell0")
-        return _a_b(2 * g, ell0, inv.d, 2 * g, inv.h_plus)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def ec_irred_thresholds(inv: FieldInvariants, ell_E: int) -> tuple[int, int]:
-    """(situation-a, situation-b) thresholds for ell-torsion irreducibility."""
-    return _a_b(2, ell_E, inv.d, 2, inv.h_plus)
-
-
-def etale_thresholds(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> tuple[int, int]:
-    """(situation-a, situation-b) thresholds for residual-Borel exclusion."""
-    if w % 2 == 0:
-        raise WEven(f"w must be odd, got {w}")
-    if b_w < 1:
-        raise ValueError("b_w must be positive")
-    return _a_b(b_w, ell_X, inv.d, b_w * w, inv.h_plus)
-
-
 # ---- the theorem table ------------------------------------------------------
 
 # A situation is (label, hypotheses, index of its threshold in the setting's
@@ -250,17 +220,38 @@ def cor2_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
 
 def rt_setting(inv: FieldInvariants, g: int, variant: str,
                ell0: int | None = None) -> Setting:
-    thresholds = rt_thresholds(inv, g, variant, ell0)
-    st = variant == "st"
-    return Setting("RTst" if st else "GRTst", thresholds, _facts(inv), None if st else ell0)
+    """The semistable torsion-tower family of g-dimensional abelian
+    varieties; variant is "st" or "st_with_ell0".
+
+    st (RTst): thresholds 2^(2dg+1)*binom(2g,g) and 2^(2d^2g+1)*binom(2g,g).
+    st_with_ell0 (GRTst): thresholds 2*ell0^(2dgh+)*binom(2g,g) and
+    2*ell0^(2d^2gh+)*binom(2g,g), gated on ell non-split in K and ell != ell0.
+    """
+    if g < 1:
+        raise ValueError("g must be positive")
+    if variant == "st":
+        return Setting("RTst", _a_b(2 * g, 2, inv.d, 2 * g, 1), _facts(inv))
+    if variant == "st_with_ell0":
+        if ell0 is None:
+            raise ValueError("st_with_ell0 requires ell0")
+        return Setting("GRTst", _a_b(2 * g, ell0, inv.d, 2 * g, inv.h_plus), _facts(inv), ell0)
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def ec_irred_setting(inv: FieldInvariants, ell_E: int) -> Setting:
-    return Setting("Ell", ec_irred_thresholds(inv, ell_E), _facts(inv))
+    """Irreducibility of the ell-torsion of a semistable elliptic curve with
+    good reduction above ell_E: thresholds 4*ell_E^(2dh+) and 4*ell_E^(2d^2h+)."""
+    return Setting("Ell", _a_b(2, ell_E, inv.d, 2, inv.h_plus), _facts(inv))
 
 
 def etale_setting(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> Setting:
-    return Setting("Et", etale_thresholds(inv, b_w, ell_X, w), _facts(inv))
+    """Residual-Borel exclusion for odd-degree etale cohomology of Betti
+    number b_w and odd weight w with good reduction above ell_X."""
+    if w % 2 == 0:
+        raise WEven(f"w must be odd, got {w}")
+    if b_w < 1:
+        raise ValueError("b_w must be positive")
+    return Setting("Et", _a_b(b_w, ell_X, inv.d, b_w * w, inv.h_plus), _facts(inv))
 
 
 def _ladder(theorem: str, gate: list, situations: list) -> Verdict:
@@ -353,12 +344,7 @@ def decide_rt(
     ell0: int | None = None,
 ) -> Verdict:
     """Emptiness of the semistable torsion-tower family of g-dimensional
-    abelian varieties.
-
-    st: thresholds 2^(2dg+1)*binom(2g,g) and 2^(2d^2g+1)*binom(2g,g).
-    st_with_ell0: thresholds 2*ell0^(2dgh+)*binom(2g,g) and
-    2*ell0^(2d^2gh+)*binom(2g,g), gated on ell non-split in K and ell != ell0.
-    """
+    abelian varieties (thresholds in `rt_setting`)."""
     return decide(rt_setting(inv, g, variant, ell0), ell, ps)
 
 

@@ -4,7 +4,8 @@ Input is a strict-schema JSON document (unknown keys rejected) read from
 --input or standard input; the certificate goes to standard output as
 canonical JSON: sorted keys, no floats (rationals render as "p/q"), no
 timestamps.  Exit codes: 0 success (NotDecided included), 2 schema error,
-3 domain precondition failure, 4 internal consistency failure.
+3 domain precondition failure, 4 internal consistency failure or an
+exhausted resource (memory, recursion depth).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from . import __version__
@@ -23,12 +25,7 @@ from .bounds import (
     Verdict,
     cor1_setting,
     cor2_setting,
-    decide_cor1,
-    decide_cor2,
-    decide_ec_irred,
-    decide_etale,
-    decide_rt,
-    decide_trivial,
+    decide,
     derived_constants,
     ec_irred_setting,
     etale_setting,
@@ -69,6 +66,9 @@ def main(argv: list[str] | None = None) -> int:
     except (PreconditionError, ValueError, OverflowError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
+    except (MemoryError, RecursionError) as exc:
+        print(f"resource exhausted: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
+        return 4
     print(text)
     return 0
 
@@ -79,25 +79,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="thresholds, congruence gates and emptiness certificates",
     )
     sub = parser.add_subparsers(dest="command")
-    for name, helptext in [
-        ("constants", "derived threshold constants for (field, params)"),
-        ("decide", "trivial-case + uniform-weight emptiness decisions"),
-        ("rt", "abelian-variety torsion-tower emptiness thresholds"),
-        ("ec-irred", "elliptic-curve ell-torsion irreducibility"),
-        ("etale", "odd-degree etale cohomology residual-Borel exclusion"),
-        ("tame-weights", "digit multiset / orbit of a tame character exponent"),
-        ("weil-check", "root absolute-value and functional-equation checks"),
-        ("power-transform", "roots-to-s-th-powers transform of a monic polynomial"),
-        ("gate", "congruence-forcing verdict on one instance"),
-        ("gate-search", "exhaustive sub-bound counterexample sweep"),
-    ]:
+    for name, (helptext, handler, *_) in COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--input", help="JSON document path (default: stdin)")
         p.add_argument("--json", action="store_true",
                        help="accepted for compatibility; output is always JSON")
         p.add_argument("--ell", type=int, action="append",
                        help="override/add a prime ell to the query (repeatable)")
-        if name in DECISIONS:
+        if isinstance(handler, _Decision):
             p.add_argument("--min-ell", action="store_true",
                            help="add the least prime certified Empty (null if none is)")
         if name == "gate-search":
@@ -121,10 +110,11 @@ def _load_document(args: argparse.Namespace) -> dict:
     if not isinstance(doc, dict):
         raise SchemaError("document root must be a JSON object")
     if args.ell:
-        doc.setdefault("query", {})
-        existing = doc["query"].get("ell")
-        merged = _as_list(existing) + list(args.ell) if existing is not None else list(args.ell)
-        doc["query"]["ell"] = merged
+        query = doc.setdefault("query", {})
+        if not isinstance(query, dict):
+            raise SchemaError("query must be a JSON object")
+        existing = query.get("ell")
+        query["ell"] = _as_list(existing) + args.ell if existing is not None else list(args.ell)
     return doc
 
 
@@ -140,11 +130,10 @@ def _as_list(v) -> list:
     return list(v) if isinstance(v, list) else [v]
 
 
-def _take(d, where: str, required: dict, optional: dict | None = None) -> dict:
+def _take(d, where: str, required: dict, optional: dict) -> dict:
     """Strict-schema field extraction: every key typed, unknown keys rejected."""
     if not isinstance(d, dict):
         raise SchemaError(f"{where} must be a JSON object")
-    optional = optional or {}
     unknown = set(d) - set(required) - set(optional)
     if unknown:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -234,45 +223,21 @@ def _verdict_body(v: Verdict) -> dict:
     }
 
 
-def _certificate(command: str, doc: dict, body: dict) -> dict:
-    return {"tool": TOOL, "version": __version__, "command": command,
-            "input": doc, **body}
-
-
 def _dispatch(command: str, doc: dict, args: argparse.Namespace) -> dict:
-    if command in DECISIONS:
-        return _cmd_decision(command, doc, args)
-    handler = {
-        "constants": _cmd_constants,
-        "tame-weights": _cmd_tame_weights,
-        "weil-check": _cmd_weil_check,
-        "power-transform": _cmd_power_transform,
-        "gate": _cmd_gate,
-        "gate-search": _cmd_gate_search,
-    }[command]
-    return handler(doc, args)
-
-
-def _top_level(doc: dict, sections: set[str]) -> None:
+    """Check the top-level sections, parse the field, params and query the
+    command takes, and wrap its handler's body in the certificate."""
+    _, handler, sections, schema, optional = COMMANDS[command]
     unknown = set(doc) - sections
     if unknown:
         raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")
+    inv = _parse_field(doc) if "field" in sections else None
+    p = _parse_params(doc) if "params" in sections else None
+    query = _query(doc, schema, optional) if "query" in sections else None
+    return {"tool": TOOL, "version": __version__, "command": command, "input": doc,
+            **handler(inv, p, query, args)}
 
 
-def _cmd_constants(doc: dict, args) -> dict:
-    _top_level(doc, {"field", "params"})
-    inv = _parse_field(doc)
-    p = _parse_params(doc)
-    c = derived_constants(inv, p)
-    return _certificate("constants", doc, {"constants": {
-        "M": _frac(c.M), "c_n": c.c_n,
-        "eps1": _frac(c.eps1), "eps2": _frac(c.eps2),
-        "eps1p": _frac(c.eps1p), "eps2p": _frac(c.eps2p),
-        "C1": c.C1, "C2": c.C2, "C1p": c.C1p, "C2p": c.C2p,
-    }})
-
-
-def _query(doc: dict, required: dict, optional: dict | None = None) -> dict:
+def _query(doc: dict, required: dict, optional: dict) -> dict:
     if "query" not in doc:
         raise SchemaError("missing 'query' section")
     return _take(doc["query"], "query", required, optional)
@@ -283,6 +248,43 @@ def _ell_list(query: dict) -> list[int]:
     for ell in ells:
         _require_prime(ell, "query.ell")
     return ells
+
+
+def _cmd_constants(inv, p, query, args) -> dict:
+    c = derived_constants(inv, p)
+    return {"constants": {
+        "M": _frac(c.M), "c_n": c.c_n,
+        "eps1": _frac(c.eps1), "eps2": _frac(c.eps2),
+        "eps1p": _frac(c.eps1p), "eps2p": _frac(c.eps2p),
+        "C1": c.C1, "C2": c.C2, "C1p": c.C1p, "C2p": c.C2p,
+    }}
+
+
+class _Decision(namedtuple("_Decision", "check settings several", defaults=(False,))):
+    """Handler of a decision command: `check` vets the parsed query, and
+    `settings(inv, p, query)` gives its settings, built once.  With
+    `several`, each ell lists the verdict of every setting, leaving out at
+    ell0 those that refuse it (all but Trivial, which has ell != ell0 as a
+    hypothesis); otherwise the entry is the one setting's verdict, and ell0
+    is outside the framework."""
+
+    __slots__ = ()
+
+    def __call__(self, inv, p, query, args) -> dict:
+        self.check(query)
+        ells = _ell_list(query)
+        settings = self.settings(inv, p, query)
+        flags = (query.get("divides_disc", False), query.get("splits_in_K", False))
+        body: dict = {"verdicts": []}
+        for ell in ells:
+            ps = PrimeSituation.of(inv, ell, *flags)
+            verdicts = [_verdict_body(decide(s, ell, ps)) for s in settings
+                        if not self.several or ell != s.ell0 or s.theorem == "Trivial"]
+            entry = {"verdicts": verdicts} if self.several else verdicts[0]
+            body["verdicts"].append({"ell": ell, **entry})
+        if args.min_ell:
+            body["min_ell"] = least_empty_prime(settings, inv, *flags)
+        return body
 
 
 def _check_rt(query: dict) -> None:
@@ -297,67 +299,12 @@ def _check_rt(query: dict) -> None:
         raise SchemaError("query.ell0 is only meaningful for variant 'st_with_ell0'")
 
 
-def _uniform_weight_entry(inv, p, query, ps) -> dict:
-    verdicts = [decide_trivial(inv, p, ps.ell)]
-    if ps.ell != p.ell0:
-        if p.cyclotomic:
-            verdicts.append(decide_cor1(inv, p, ps))
-        verdicts.append(decide_cor2(inv, p, ps))
-    return {"verdicts": [_verdict_body(v) for v in verdicts]}
-
-
 def _uniform_weight_settings(inv, p, query) -> list[Setting]:
     cor1 = [cor1_setting(inv, p)] if p.cyclotomic else []
     return [trivial_setting(inv, p), *cor1, cor2_setting(inv, p)]
 
 
-# Decision commands: top-level sections, query schema and its optional keys
-# (the two prime-situation flags are always optional), a check of the parsed
-# query, the certificate entry at one prime, and the settings whose least
-# certified prime is min_ell.
-DECISIONS = {
-    "decide": (
-        {"field", "params", "query"}, {"ell": "int_list"}, {}, lambda q: None,
-        _uniform_weight_entry, _uniform_weight_settings),
-    "rt": (
-        {"field", "query"}, {"g": int, "ell": "int_list", "variant": str}, {"ell0": int},
-        _check_rt,
-        lambda inv, p, q, ps: _verdict_body(
-            decide_rt(inv, q["g"], ps.ell, ps, q["variant"], q.get("ell0"))),
-        lambda inv, p, q: [rt_setting(inv, q["g"], q["variant"], q.get("ell0"))]),
-    "ec-irred": (
-        {"field", "query"}, {"ell_E": int, "ell": "int_list"}, {},
-        lambda q: _require_prime(q["ell_E"], "query.ell_E"),
-        lambda inv, p, q, ps: _verdict_body(decide_ec_irred(inv, q["ell_E"], ps.ell, ps)),
-        lambda inv, p, q: [ec_irred_setting(inv, q["ell_E"])]),
-    "etale": (
-        {"field", "query"}, {"b_w": int, "ell_X": int, "w": int, "ell": "int_list"}, {},
-        lambda q: _require_prime(q["ell_X"], "query.ell_X"),
-        lambda inv, p, q, ps: _verdict_body(
-            decide_etale(inv, q["b_w"], q["ell_X"], q["w"], ps.ell, ps)),
-        lambda inv, p, q: [etale_setting(inv, q["b_w"], q["ell_X"], q["w"])]),
-}
-
-
-def _cmd_decision(command: str, doc: dict, args) -> dict:
-    sections, schema, optional, check, entry, settings = DECISIONS[command]
-    _top_level(doc, sections)
-    inv = _parse_field(doc)
-    p = _parse_params(doc) if "params" in sections else None
-    query = _query(doc, schema, {**optional, "divides_disc": bool, "splits_in_K": bool})
-    check(query)
-    flags = (query.get("divides_disc", False), query.get("splits_in_K", False))
-    body: dict = {"verdicts": [
-        {"ell": ell, **entry(inv, p, query, PrimeSituation.of(inv, ell, *flags))}
-        for ell in _ell_list(query)]}
-    if args.min_ell:
-        body["min_ell"] = least_empty_prime(settings(inv, p, query), inv, *flags)
-    return _certificate(command, doc, body)
-
-
-def _cmd_tame_weights(doc: dict, args) -> dict:
-    _top_level(doc, {"query"})
-    query = _query(doc, {"ell": "int_list", "h": int, "n_f": int})
+def _cmd_tame_weights(inv, p, query, args) -> dict:
     (ell,) = _ell_list(query) if len(query["ell"]) == 1 else (None,)
     if ell is None:
         raise SchemaError("tame-weights takes a single prime ell")
@@ -365,16 +312,14 @@ def _cmd_tame_weights(doc: dict, args) -> dict:
         c = TameCharacterExponent(ell, query["h"], query["n_f"])
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
-    return _certificate("tame-weights", doc, {
+    return {
         "digits": sorted(digit_weights(c).elements()),
         "canonical": canonical_exponent(c),
         "orbit": list(frobenius_orbit(c)),
-    })
+    }
 
 
-def _cmd_weil_check(doc: dict, args) -> dict:
-    _top_level(doc, {"query"})
-    query = _query(doc, {"poly": "int_list", "q": int, "weights": "int_list"})
+def _cmd_weil_check(inv, p, query, args) -> dict:
     _require_prime_power(query["q"], "query.q")
     poly = _poly_from_query(query["poly"])
     weights = query["weights"]
@@ -387,25 +332,18 @@ def _cmd_weil_check(doc: dict, args) -> dict:
     if uniform and weights:
         body["functional_equation"] = functional_equation_check(
             poly, query["q"], weights[0])
-    return _certificate("weil-check", doc, body)
+    return body
 
 
-def _cmd_power_transform(doc: dict, args) -> dict:
-    _top_level(doc, {"query"})
-    query = _query(doc, {"poly": "int_list", "s": int})
+def _cmd_power_transform(inv, p, query, args) -> dict:
     if query["s"] < 0:
         raise SchemaError("query.s must be non-negative")
     poly = _poly_from_query(query["poly"])
     out = power_transform(poly, query["s"])
-    return _certificate("power-transform", doc, {"result": list(out.coeffs)})
+    return {"result": list(out.coeffs)}
 
 
-def _cmd_gate(doc: dict, args) -> dict:
-    _top_level(doc, {"query"})
-    query = _query(doc,
-                   {"poly": "int_list", "q": int, "weights": "int_list",
-                    "s": int, "u": int, "t": "int_list", "ell": "int_list"},
-                   {"w_bar": int, "d": int, "r": int})
+def _cmd_gate(inv, p, query, args) -> dict:
     _require_prime_power(query["q"], "query.q")
     poly = _poly_from_query(query["poly"])
     w_bar = query.get("w_bar", sum(query["weights"]))
@@ -425,7 +363,7 @@ def _cmd_gate(doc: dict, args) -> dict:
             "congruent": v.congruent,
             "matched_weights": _render_matched(v.matched_weights),
         })
-    return _certificate("gate", doc, {"verdicts": verdicts})
+    return {"verdicts": verdicts}
 
 
 def _render_matched(matched) -> list | None:
@@ -434,9 +372,7 @@ def _render_matched(matched) -> list | None:
     return [x if isinstance(x, int) else _frac(x) for x in matched]
 
 
-def _cmd_gate_search(doc: dict, args) -> dict:
-    _top_level(doc, {"query"})
-    query = _query(doc, {"q": int, "n": int, "s_max": int, "ell_max": int})
+def _cmd_gate_search(inv, p, query, args) -> dict:
     _require_prime_power(query["q"], "query.q")
     found = counterexample_search(query["q"], query["n"], query["s_max"],
                                   query["ell_max"], budget=args.budget)
@@ -447,10 +383,59 @@ def _cmd_gate_search(doc: dict, args) -> dict:
         "ell": inst.ell,
         "bound": inst.bound,
     } for inst in found]
-    return _certificate("gate-search", doc, {
-        "count": len(instances),
-        "instances": instances,
-    })
+    return {"count": len(instances), "instances": instances}
+
+
+_FLAGS = {"divides_disc": bool, "splits_in_K": bool}
+
+# command -> (help text, handler, top-level sections, query schema, optional
+# query keys).  A handler takes the parsed field, params and query (None for
+# a section the command lacks) and the arguments, and returns the body of
+# the certificate.  A decision command's query always takes the two
+# prime-situation flags.
+COMMANDS = {
+    "constants": (
+        "derived threshold constants for (field, params)",
+        _cmd_constants, {"field", "params"}, None, None),
+    "decide": (
+        "trivial-case + uniform-weight emptiness decisions",
+        _Decision(lambda q: None, _uniform_weight_settings, several=True),
+        {"field", "params", "query"}, {"ell": "int_list"}, _FLAGS),
+    "rt": (
+        "abelian-variety torsion-tower emptiness thresholds",
+        _Decision(_check_rt,
+                  lambda inv, p, q: [rt_setting(inv, q["g"], q["variant"], q.get("ell0"))]),
+        {"field", "query"}, {"g": int, "ell": "int_list", "variant": str},
+        {"ell0": int, **_FLAGS}),
+    "ec-irred": (
+        "elliptic-curve ell-torsion irreducibility",
+        _Decision(lambda q: _require_prime(q["ell_E"], "query.ell_E"),
+                  lambda inv, p, q: [ec_irred_setting(inv, q["ell_E"])]),
+        {"field", "query"}, {"ell_E": int, "ell": "int_list"}, _FLAGS),
+    "etale": (
+        "odd-degree etale cohomology residual-Borel exclusion",
+        _Decision(lambda q: _require_prime(q["ell_X"], "query.ell_X"),
+                  lambda inv, p, q: [etale_setting(inv, q["b_w"], q["ell_X"], q["w"])]),
+        {"field", "query"}, {"b_w": int, "ell_X": int, "w": int, "ell": "int_list"}, _FLAGS),
+    "tame-weights": (
+        "digit multiset / orbit of a tame character exponent",
+        _cmd_tame_weights, {"query"}, {"ell": "int_list", "h": int, "n_f": int}, {}),
+    "weil-check": (
+        "root absolute-value and functional-equation checks",
+        _cmd_weil_check, {"query"}, {"poly": "int_list", "q": int, "weights": "int_list"}, {}),
+    "power-transform": (
+        "roots-to-s-th-powers transform of a monic polynomial",
+        _cmd_power_transform, {"query"}, {"poly": "int_list", "s": int}, {}),
+    "gate": (
+        "congruence-forcing verdict on one instance",
+        _cmd_gate, {"query"},
+        {"poly": "int_list", "q": int, "weights": "int_list",
+         "s": int, "u": int, "t": "int_list", "ell": "int_list"},
+        {"w_bar": int, "d": int, "r": int}),
+    "gate-search": (
+        "exhaustive sub-bound counterexample sweep",
+        _cmd_gate_search, {"query"}, {"q": int, "n": int, "s_max": int, "ell_max": int}, {}),
+}
 
 
 if __name__ == "__main__":

@@ -30,10 +30,6 @@ class RootFindingFailure(PreconditionError):
     """Weil-weight validation refused the input: its degree exceeds the cap."""
 
 
-class WeightOutOfRange(PreconditionError):
-    """Uniform-weight query outside [0, ell-2]."""
-
-
 class EllEqualsEll0(PreconditionError):
     """ell = ell0 is outside the framework; the two primes must differ."""
 

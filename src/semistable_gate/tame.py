@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .errors import WeightOutOfRange
 from .primes import is_prime
 
 
@@ -57,32 +56,3 @@ def canonical_exponent(c: TameCharacterExponent) -> int:
     """Minimum of the Frobenius orbit; an orbit invariant identifying the
     weight data independently of the chosen embedding."""
     return min(frobenius_orbit(c))
-
-
-def level_one_norm_exponent(ell: int, h: int) -> int:
-    """1 + ell + ... + ell^{h-1}: the exponent realizing the level-1
-    character when viewed at level h."""
-    if h < 1:
-        raise ValueError("h must be positive")
-    return (ell ** h - 1) // (ell - 1) if ell > 1 else h
-
-
-def is_uniform(w_set, w: int, ell: int) -> bool:
-    """True iff every weight in the multiset equals w.  The uniform-weight
-    notion is only defined for 0 <= w < ell - 1."""
-    if not 0 <= w < ell - 1:
-        raise WeightOutOfRange(f"w = {w} outside [0, {ell - 2}]")
-    return all(x == w for x in _elements(w_set))
-
-
-def caruso_range_check(w_set, e: int, r: int) -> bool:
-    """True iff every weight lies in [0, e*r]."""
-    if e < 1:
-        raise ValueError("e must be positive")
-    return all(0 <= x <= e * r for x in _elements(w_set))
-
-
-def _elements(w_set):
-    if isinstance(w_set, Counter):
-        return w_set.elements()
-    return iter(w_set)

@@ -27,9 +27,9 @@ from semistable_gate.bounds import (
     decide_rt,
     decide_trivial,
     derived_constants,
-    ec_irred_thresholds,
-    etale_thresholds,
-    rt_thresholds,
+    ec_irred_setting,
+    etale_setting,
+    rt_setting,
 )
 from semistable_gate.gate import counterexample_search, lemma_bound, size_exponent
 from semistable_gate.intpoly import IntPolynomial, power_transform
@@ -39,7 +39,6 @@ from semistable_gate.tame import (
     base_digits,
     digit_weights,
     frobenius_orbit,
-    level_one_norm_exponent,
 )
 
 from golden_cases import CASES, EXTRA_CHECKS
@@ -71,9 +70,9 @@ def test_criterion_2_threshold_cross_consistency():
         for h in range(1, 5):
             inv = FieldInvariants(d, 5, h)
             for l0 in (2, 3, 5):
-                rt = rt_thresholds(inv, 1, "st_with_ell0", l0)
-                ec = ec_irred_thresholds(inv, l0)
-                et = etale_thresholds(inv, 2, l0, 1)
+                rt = rt_setting(inv, 1, "st_with_ell0", l0).thresholds
+                ec = ec_irred_setting(inv, l0).thresholds
+                et = etale_setting(inv, 2, l0, 1).thresholds
                 assert rt == ec == et
     report("criterion 2: rt(g=1) == ec-irred == etale(b_w=2, w=1) thresholds", started)
 
@@ -129,7 +128,7 @@ def test_criterion_5_tame_weight_invariance():
                 for m in frobenius_orbit(c):
                     assert digit_weights(TameCharacterExponent(ell, h, m)) == base
                 assert sum(base.elements()) % (ell - 1) == n_f % (ell - 1)
-            norm = level_one_norm_exponent(ell, h)
+            norm = (ell ** h - 1) // (ell - 1)  # 1 + ell + ... + ell^(h-1)
             for k in range(ell):
                 assert base_digits(k * norm, ell, h) == {k: h}
     report("criterion 5: tame-weight invariance exhaustive over "

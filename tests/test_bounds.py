@@ -163,9 +163,9 @@ def test_decide_ec_irred_examples():
     v = decide_ec_irred(Q_FIELD, 3, 37, PrimeSituation.rational(37))
     assert (v.conclusion, v.threshold) == ("Empty", 36)
     # real quadratic d = 2, h+ = 1, ell_E = 2: (a) 4*2^4 = 64, (b) 4*2^8 = 1024
-    from semistable_gate.bounds import ec_irred_thresholds
+    from semistable_gate.bounds import ec_irred_setting
     inv = FieldInvariants(2, 8, 1)
-    assert ec_irred_thresholds(inv, 2) == (64, 1024)
+    assert ec_irred_setting(inv, 2).thresholds == (64, 1024)
     v = decide_ec_irred(inv, 2, 1031, PrimeSituation(1031, divides_disc=True))
     assert v.conclusion == "NotDecided"  # d even: (b) unavailable, (a) gated off
     v = decide_ec_irred(inv, 2, 67, PrimeSituation(67))
@@ -218,7 +218,7 @@ def test_thresholds_monotone_in_every_parameter():
 
 
 def test_cross_consistency_rt_vs_constants():
-    from semistable_gate.bounds import rt_thresholds
+    from semistable_gate.bounds import rt_setting
     # bullet (2g, 2, 1, 1): C1/C1' must equal the abelian-variety thresholds
     for g in range(1, 6):
         for d in range(1, 5):
@@ -227,16 +227,16 @@ def test_cross_consistency_rt_vs_constants():
                 c = derived_constants(inv, bullet(2 * g, 2, 1, 1))
                 assert c.C1 == 2 ** (2 * d * g + 1) * math.comb(2 * g, g)
                 assert c.C1p == 2 ** (2 * d * g * h + 1) * math.comb(2 * g, g)
-                assert c.C1 == rt_thresholds(inv, g, "st")[0]
-                assert c.C1p == rt_thresholds(inv, g, "st_with_ell0", 2)[0]
+                assert c.C1 == rt_setting(inv, g, "st").thresholds[0]
+                assert c.C1p == rt_setting(inv, g, "st_with_ell0", 2).thresholds[0]
 
 
 def test_cross_consistency_ec_vs_grt_vs_etale():
-    from semistable_gate.bounds import ec_irred_thresholds, etale_thresholds, rt_thresholds
+    from semistable_gate.bounds import ec_irred_setting, etale_setting, rt_setting
     for d in range(1, 5):
         for h in range(1, 5):
             inv = FieldInvariants(d, 5, h)
             for l0 in (2, 3, 5):
-                assert rt_thresholds(inv, 1, "st_with_ell0", l0) \
-                    == ec_irred_thresholds(inv, l0) \
-                    == etale_thresholds(inv, 2, l0, 1)
+                assert rt_setting(inv, 1, "st_with_ell0", l0).thresholds \
+                    == ec_irred_setting(inv, l0).thresholds \
+                    == etale_setting(inv, 2, l0, 1).thresholds

@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 import time
@@ -175,11 +176,11 @@ def test_precondition_exit_3(capsys):
 def test_internal_consistency_exit_4(capsys, monkeypatch):
     from semistable_gate.errors import LemmaViolation
 
-    def boom(doc, args):
+    def boom(inst):
         raise LemmaViolation("synthetic")
 
-    # _dispatch resolves the handler from module globals at call time
-    monkeypatch.setattr(cli, "_cmd_gate", boom)
+    # _cmd_gate resolves forced_equality from module globals at call time
+    monkeypatch.setattr(cli, "forced_equality", boom)
     doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1, 1],
                      "s": 2, "u": 2, "t": [1, 1], "ell": 7}}
     code, _, err = run_cli(capsys, "gate", doc)
@@ -316,3 +317,71 @@ def test_cli_imports_without_numpy():
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+UNIFORM_DOC = {"field": {"d": 1, "disc": 1, "h_plus": 1},
+               "params": {"n": 2, "ell0": 2, "r": 1, "variant": "bullet",
+                          "w": 1, "cyclotomic": True}}
+
+
+def test_decide_at_ell0_asks_only_trivial(capsys):
+    code, out, _ = run_cli(capsys, "decide", dict(UNIFORM_DOC, query={"ell": [2, 17]}))
+    assert code == 0
+    per_ell = {v["ell"]: [x["theorem"] for x in v["verdicts"]]
+               for v in json.loads(out)["verdicts"]}
+    assert per_ell == {2: ["Trivial"], 17: ["Trivial", "Cor1", "Cor2"]}
+
+
+def test_rt_with_ell0_at_ell0_exits_3(capsys):
+    doc = {"field": {"d": 1, "disc": 1, "h_plus": 1},
+           "query": {"g": 1, "variant": "st_with_ell0", "ell0": 3, "ell": [17, 3]}}
+    code, out, err = run_cli(capsys, "rt", doc)
+    assert code == 3 and out == "" and "outside the framework" in err
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("etale", {"field": {"d": 1, "disc": 1, "h_plus": 1},
+               "query": {"b_w": 2, "ell_X": 2, "w": 2, "ell": []}}),
+    ("rt", {"field": {"d": 1, "disc": 1, "h_plus": 1},
+            "query": {"g": 0, "variant": "st", "ell": []}}),
+    ("decide", {"field": {"d": 1, "disc": 1, "h_plus": 1},
+                "params": {"n": 2, "ell0": 2, "r": 1, "variant": "circle", "w_bar": 2},
+                "query": {"ell": []}}),
+])
+def test_refused_family_with_no_ell_exits_3(capsys, command, doc):
+    # the settings are built once per query, so an empty ell list is refused
+    # exactly as the same document with --min-ell is
+    for flags in ((), ("--min-ell",)):
+        code, out, err = run_cli(capsys, command, doc, *flags)
+        assert code == 3 and out == "" and "precondition failure" in err
+
+
+@pytest.mark.parametrize("query", ["[1]", '"x"', "5", "null"])
+def test_ell_flag_on_a_non_object_query_exits_2(capsys, query):
+    code, out, err = run_cli(capsys, "rt", '{"query": %s}' % query, "--ell", "5")
+    assert code == 2 and out == "" and "query must be a JSON object" in err
+
+
+def _cli_process(doc: str, *argv, limit_bytes: int | None = None):
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "semistable_gate.cli", *argv],
+                          input=doc, capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit if limit_bytes else None,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_memory_error_exits_4_without_a_traceback():
+    # a raised budget lets the sieve up to ell_max try to allocate ~10^12 bytes
+    doc = json.dumps({"query": {"q": 2, "n": 2, "s_max": 1, "ell_max": 10 ** 12}})
+    proc = _cli_process(doc, "gate-search", "--budget", str(10 ** 21), limit_bytes=2 * 10 ** 9)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "MemoryError" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_recursion_error_exits_4_without_a_traceback():
+    proc = _cli_process('{"query": ' + "[" * 100_000 + "]" * 100_000 + "}", "rt")
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "RecursionError" in proc.stderr and "Traceback" not in proc.stderr

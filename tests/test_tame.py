@@ -2,16 +2,12 @@ from collections import Counter
 
 import pytest
 
-from semistable_gate.errors import WeightOutOfRange
 from semistable_gate.tame import (
     TameCharacterExponent,
     base_digits,
     canonical_exponent,
-    caruso_range_check,
     digit_weights,
     frobenius_orbit,
-    is_uniform,
-    level_one_norm_exponent,
 )
 
 SMALL = [(ell, h) for ell in (2, 3, 5, 7) for h in (1, 2, 3)]
@@ -21,6 +17,7 @@ def test_digit_weights_examples():
     assert digit_weights(TameCharacterExponent(5, 2, 7)) == Counter({1: 1, 2: 1})
     assert digit_weights(TameCharacterExponent(3, 3, 13)) == Counter({1: 3})
     assert digit_weights(TameCharacterExponent(7, 1, 4)) == Counter({4: 1})
+    assert digit_weights(TameCharacterExponent(5, 2, 12)) == Counter({2: 2})
 
 
 def test_digit_weights_keeps_leading_zeros():
@@ -46,31 +43,6 @@ def test_canonical_exponent_idempotent():
             assert canonical_exponent(TameCharacterExponent(ell, h, c)) == c
 
 
-def test_level_one_norm_exponent_examples():
-    assert level_one_norm_exponent(3, 3) == 13
-    assert level_one_norm_exponent(5, 2) == 6
-    assert digit_weights(TameCharacterExponent(5, 2, 12)) == Counter({2: 2})
-    assert level_one_norm_exponent(2, 4) == 15
-
-
-def test_is_uniform():
-    assert is_uniform([2, 2, 2], 2, 7)
-    assert not is_uniform([0, 1], 0, 5)
-    assert is_uniform([], 1, 5)
-    with pytest.raises(WeightOutOfRange):
-        is_uniform([1], 4, 5)  # w must be < ell - 1
-    with pytest.raises(WeightOutOfRange):
-        is_uniform([1], -1, 5)
-
-
-def test_caruso_range_check():
-    assert caruso_range_check([0, 1, 2], 1, 2)
-    assert not caruso_range_check([3], 1, 2)
-    for e, r in [(1, 1), (2, 3), (5, 0)]:
-        assert caruso_range_check([0, e * r], e, r)
-    assert not caruso_range_check([-1], 1, 1)
-
-
 def test_invalid_exponent_rejected():
     with pytest.raises(ValueError):
         TameCharacterExponent(5, 2, 24)  # modulus is 24, max exponent 23
@@ -94,7 +66,7 @@ def test_digit_multiset_constant_on_frobenius_orbits():
 def test_norm_relation_digits():
     # k * (1 + ell + ... + ell^{h-1}) has all h digits equal to k
     for ell, h in SMALL:
-        norm = level_one_norm_exponent(ell, h)
+        norm = (ell ** h - 1) // (ell - 1)
         for k in range(ell):
             assert base_digits(k * norm, ell, h) == Counter({k: h})
 
