@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from fractions import Fraction
 
-from .errors import EllEqualsEll0, WEven
+from .errors import EllEqualsEll0, WEven, brief
 from .primes import next_prime
 
 
@@ -115,6 +114,7 @@ def central_binomial(n: int) -> int:
 
 def size_exponent(n: int, r: int, w_bar: int) -> Fraction:
     """M = max{n*r, w_bar/2}, exact."""
+    from fractions import Fraction  # here, so that only the commands using M load it
     return max(Fraction(n * r), Fraction(w_bar, 2))
 
 
@@ -248,7 +248,7 @@ def etale_setting(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> Setting
     """Residual-Borel exclusion for odd-degree etale cohomology of Betti
     number b_w and odd weight w with good reduction above ell_X."""
     if w % 2 == 0:
-        raise WEven(f"w must be odd, got {w}")
+        raise WEven(f"w must be odd, got {brief(w)}")
     if b_w < 1:
         raise ValueError("b_w must be positive")
     return Setting("Et", _a_b(b_w, ell_X, inv.d, b_w * w, inv.h_plus), _facts(inv))
@@ -376,7 +376,7 @@ def parity_obstruction(e: int, w: int, r: int, n: int) -> str:
         raise ValueError("e must be positive")
     if (e * w) % 2 == 1:
         return "NonIntegral"
-    if Fraction(w, 2) > r:
+    if w > 2 * r:
         return "RangeExceeded"
     if (n * e * w // 2) % e != 0:
         return "DivisibilityFails"

@@ -6,6 +6,10 @@ canonical JSON: sorted keys, no floats (rationals render as "p/q"), no
 timestamps.  Exit codes: 0 success (NotDecided included), 2 schema error,
 3 domain precondition failure, 4 internal consistency failure or an
 exhausted resource (memory, recursion depth).
+
+A process pays only for its command: `main` builds only the subparser of
+the command argv names (all ten for help, no command or an unknown one),
+and the handlers import `gate`, `weil`, `intpoly` and `tame` when they run.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import argparse
 import json
 import sys
 from collections import namedtuple
-from fractions import Fraction
 
 from . import __version__
 from .bounds import (
@@ -33,23 +36,15 @@ from .bounds import (
     rt_setting,
     trivial_setting,
 )
-from .errors import InternalConsistencyError, PreconditionError, SchemaError
-from .gate import CongruenceInstance, counterexample_search, forced_equality
-from .intpoly import IntPolynomial, power_transform
+from .errors import InternalConsistencyError, PreconditionError, SchemaError, brief
 from .primes import is_prime, is_prime_power
-from .tame import (
-    TameCharacterExponent,
-    canonical_exponent,
-    digit_weights,
-    frobenius_orbit,
-)
-from .weil import WeilDatum, functional_equation_check, validate_weights
 
 TOOL = "semistable-gate"
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser([argv[0]] if argv and argv[0] in COMMANDS else COMMANDS)
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help(sys.stderr)
@@ -73,13 +68,17 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(names) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=TOOL,
         description="thresholds, congruence gates and emptiness certificates",
     )
-    sub = parser.add_subparsers(dest="command")
-    for name, (helptext, handler, *_) in COMMANDS.items():
+    # built for one command, the metavar lists all ten in the usage line;
+    # built for all, the default one keeps "argument command" in errors
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", metavar=metavar)
+    for name in names:
+        helptext, handler, *_ = COMMANDS[name]
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--input", help="JSON document path (default: stdin)")
         p.add_argument("--json", action="store_true",
@@ -105,7 +104,7 @@ def _load_document(args: argparse.Namespace) -> dict:
         doc = json.loads(raw)
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be a JSON object")
@@ -171,13 +170,13 @@ def _coerce(value, typ, where: str):
 
 def _require_prime(n: int, where: str) -> int:
     if not is_prime(n):
-        raise SchemaError(f"{where} = {n} is not prime")
+        raise SchemaError(f"{where} = {brief(n)} is not prime")
     return n
 
 
 def _require_prime_power(n: int, where: str) -> int:
     if not is_prime_power(n):
-        raise SchemaError(f"{where} = {n} is not a prime power")
+        raise SchemaError(f"{where} = {brief(n)} is not a prime power")
     return n
 
 
@@ -207,6 +206,7 @@ def _parse_params(doc: dict) -> RepFamilyParams:
 
 
 def _poly_from_query(coeffs: list[int]) -> IntPolynomial:
+    from .intpoly import IntPolynomial
     try:
         return IntPolynomial(tuple(coeffs))
     except ValueError as exc:
@@ -305,6 +305,7 @@ def _uniform_weight_settings(inv, p, query) -> list[Setting]:
 
 
 def _cmd_tame_weights(inv, p, query, args) -> dict:
+    from .tame import TameCharacterExponent, canonical_exponent, digit_weights, frobenius_orbit
     (ell,) = _ell_list(query) if len(query["ell"]) == 1 else (None,)
     if ell is None:
         raise SchemaError("tame-weights takes a single prime ell")
@@ -320,6 +321,7 @@ def _cmd_tame_weights(inv, p, query, args) -> dict:
 
 
 def _cmd_weil_check(inv, p, query, args) -> dict:
+    from .weil import functional_equation_check, validate_weights
     _require_prime_power(query["q"], "query.q")
     poly = _poly_from_query(query["poly"])
     weights = query["weights"]
@@ -336,6 +338,7 @@ def _cmd_weil_check(inv, p, query, args) -> dict:
 
 
 def _cmd_power_transform(inv, p, query, args) -> dict:
+    from .intpoly import power_transform
     if query["s"] < 0:
         raise SchemaError("query.s must be non-negative")
     poly = _poly_from_query(query["poly"])
@@ -344,6 +347,8 @@ def _cmd_power_transform(inv, p, query, args) -> dict:
 
 
 def _cmd_gate(inv, p, query, args) -> dict:
+    from .gate import CongruenceInstance, forced_equality
+    from .weil import WeilDatum
     _require_prime_power(query["q"], "query.q")
     poly = _poly_from_query(query["poly"])
     w_bar = query.get("w_bar", sum(query["weights"]))
@@ -373,6 +378,7 @@ def _render_matched(matched) -> list | None:
 
 
 def _cmd_gate_search(inv, p, query, args) -> dict:
+    from .gate import counterexample_search
     _require_prime_power(query["q"], "query.q")
     found = counterexample_search(query["q"], query["n"], query["s_max"],
                                   query["ell_max"], budget=args.budget)

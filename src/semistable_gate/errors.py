@@ -40,3 +40,16 @@ class WEven(PreconditionError):
 
 class CorpusTooLarge(PreconditionError):
     """Counterexample-search enumeration budget exceeded."""
+
+
+def brief(n: int) -> str:
+    """n in full up to 100 digits; past that, its first and last 10 digits
+    and its digit count.  It never calls str() on all of n, which refuses
+    integers past the int-to-str digit limit."""
+    m = abs(n)
+    if m < 10 ** 100:
+        return str(n)
+    digits = m.bit_length() * 1233 >> 12    # 1233/4096 < log10(2): at most the count
+    while 10 ** digits <= m:
+        digits += 1
+    return f"{'-' * (n < 0)}{m // 10 ** (digits - 10)}...{m % 10 ** 10:010d} ({digits} digits)"

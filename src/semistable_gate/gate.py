@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .bounds import lemma_bound, size_exponent
-from .errors import CorpusTooLarge, LemmaViolation
+from .errors import CorpusTooLarge, LemmaViolation, brief
 from .intpoly import IntPolynomial, from_prime_power_roots, poly_mul, power_transform
 from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
@@ -35,9 +35,9 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r")
         if len(t) != datum.poly.degree:
             raise ValueError("t must have one entry per eigenvalue")
         if not 0 <= s <= u:
-            raise ValueError(f"need 0 <= s <= u, got s={s}, u={u}")
+            raise ValueError(f"need 0 <= s <= u, got s={brief(s)}, u={brief(u)}")
         if any(not 0 <= tk <= r * u for tk in t):
-            raise ValueError(f"every t_k must lie in [0, r*u] = [0, {r * u}]")
+            raise ValueError(f"every t_k must lie in [0, r*u] = [0, {brief(r * u)}]")
         if datum.q % ell == 0:
             raise ValueError("ell must not divide q")
         return super().__new__(cls, datum, s, u, t, ell, d, r)
@@ -130,10 +130,10 @@ def counterexample_search(
         math.comb(s + n, n) for s in range(1, s_max + 1))
     # refuse on a lower bound first: the sieve takes time and memory linear in ell_max
     if (least := cells * (prime_count_lower_bound(ell_max) - 1)) > budget:
-        raise CorpusTooLarge(f"corpus size at least {least} exceeds budget {budget}")
+        raise CorpusTooLarge(f"corpus size at least {brief(least)} exceeds budget {brief(budget)}")
     primes = [p for p in primes_up_to(ell_max) if p != ell0]
     if (corpus_size := cells * len(primes)) > budget:
-        raise CorpusTooLarge(f"corpus size {corpus_size} exceeds budget {budget}")
+        raise CorpusTooLarge(f"corpus size {brief(corpus_size)} exceeds budget {brief(budget)}")
 
     found: list[CongruenceInstance] = []
     for poly, weights in polys:

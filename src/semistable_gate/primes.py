@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import brief
+
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _WITNESS_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -16,7 +18,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _WITNESS_LIMIT:
-        raise ValueError(f"primality of {n} exceeds the deterministic witness range")
+        raise ValueError(f"primality of {brief(n)} exceeds the deterministic witness range")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -96,5 +98,5 @@ def is_prime_power(n: int) -> bool:
 def prime_power_base(n: int) -> int:
     """The prime p with n = p^k; raises if n is not a prime power."""
     if (p := _prime_power_root(n)) is None:
-        raise ValueError(f"{n} is not a prime power")
+        raise ValueError(f"{brief(n)} is not a prime power")
     return p

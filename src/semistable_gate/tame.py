@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
+from .errors import brief
 from .primes import is_prime
 
 
@@ -19,12 +20,12 @@ class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level expon
 
     def __new__(cls, ell: int, level: int, exponent: int):
         if not is_prime(ell):
-            raise ValueError(f"ell = {ell} is not prime")
+            raise ValueError(f"ell = {brief(ell)} is not prime")
         if level < 1:
             raise ValueError("level must be positive")
         modulus = ell ** level - 1
         if not 0 <= exponent <= modulus - 1:
-            raise ValueError(f"exponent must lie in [0, {modulus - 1}], got {exponent}")
+            raise ValueError(f"exponent must lie in [0, {brief(modulus - 1)}], got {brief(exponent)}")
         return super().__new__(cls, ell, level, exponent)
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import RootFindingFailure
+from .errors import RootFindingFailure, brief
 from .intpoly import IntPolynomial, power_transform, poly_gcd, real_root_count
 
 DEGREE_CAP = 64
@@ -33,7 +33,7 @@ class WeilDatum(namedtuple("WeilDatum", "poly q weights weight_budget")):
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
         if sum(weights) > weight_budget:
-            raise ValueError(f"total weight {sum(weights)} exceeds budget {weight_budget}")
+            raise ValueError(f"total weight {brief(sum(weights))} exceeds budget {brief(weight_budget)}")
         return super().__new__(cls, poly, q, weights, weight_budget)
 
     def validate(self) -> bool:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from semistable_gate import cli
+from semistable_gate import cli, gate, intpoly
 from semistable_gate.intpoly import IntPolynomial, poly_mul
 
 
@@ -179,8 +179,8 @@ def test_internal_consistency_exit_4(capsys, monkeypatch):
     def boom(inst):
         raise LemmaViolation("synthetic")
 
-    # _cmd_gate resolves forced_equality from module globals at call time
-    monkeypatch.setattr(cli, "forced_equality", boom)
+    # _cmd_gate imports forced_equality from gate when it runs
+    monkeypatch.setattr(gate, "forced_equality", boom)
     doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1, 1],
                      "s": 2, "u": 2, "t": [1, 1], "ell": 7}}
     code, _, err = run_cli(capsys, "gate", doc)
@@ -285,6 +285,28 @@ def test_integer_past_the_digit_limit_exits_2(capsys):
     assert code == 2 and out == "" and "schema error" in err
 
 
+HUGE = "1" + "0" * 4298 + "1"  # 10^4299 + 1, divisible by 11
+
+
+@pytest.mark.parametrize("command,raw,code,shown", [
+    ("rt", '{"field": {"d": 1, "disc": 1, "h_plus": 1},'
+           ' "query": {"g": 1, "variant": "st", "ell": %s}}' % HUGE, 2,
+     "query.ell = 1000000000...0000000001 (4300 digits) is not prime"),
+    ("etale", '{"field": {"d": 1, "disc": 1, "h_plus": 1},'
+              ' "query": {"b_w": 2, "ell_X": 2, "w": %s, "ell": []}}' % (HUGE[:-1] + "0"), 3,
+     "w must be odd, got 1000000000...0000000000 (4300 digits)"),
+    ("tame-weights", '{"query": {"ell": 5, "h": 2, "n_f": %s}}' % HUGE, 2,
+     "got 1000000000...0000000001 (4300 digits)"),
+    ("gate", '{"query": {"poly": [2, 1, 1], "q": 2, "weights": [1, 1], "s": %s,'
+             ' "u": 2, "t": [1, 1], "ell": 7}}' % HUGE, 3,
+     "got s=1000000000...0000000001 (4300 digits), u=2"),
+], ids=["rt-ell", "etale-w", "tame-weights-n_f", "gate-s"])
+def test_a_huge_integer_in_a_message_is_abbreviated(capsys, command, raw, code, shown):
+    got, out, err = run_cli(capsys, command, raw)
+    assert got == code and out == "" and len(err.encode()) < 300
+    assert shown in err
+
+
 def test_gate_search_refuses_a_huge_ell_max_before_sieving(capsys):
     doc = {"query": {"q": 2, "n": 2, "s_max": 1, "ell_max": 10 ** 12}}
     start = time.perf_counter()
@@ -310,6 +332,75 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+# every name the package exported when its __init__ imported all modules
+EXPORTS = """
+    DerivedConstants FieldInvariants PrimeSituation RepFamilyParams Setting Verdict
+    central_binomial cor1_setting cor2_setting decide decide_cor1 decide_cor2
+    decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
+    ec_irred_setting etale_setting least_empty_prime lemma_bound parity_obstruction
+    rt_setting trivial_setting
+    CongruenceInstance GateOutcome GateVerdict counterexample_search forced_equality
+    symmetric_congruence
+    IntPolynomial PowerSums from_power_sums from_prime_power_roots power_sums
+    power_transform
+    TameCharacterExponent canonical_exponent digit_weights frobenius_orbit
+    WeilDatum enumerate_weil_quadratics functional_equation_check validate_weights
+""".split()
+
+
+def test_every_export_resolves_and_is_in_all():
+    import semistable_gate
+
+    namespace: dict = {}
+    exec(f"from semistable_gate import {', '.join(EXPORTS)}, __version__", namespace)
+    assert all(namespace[name] is not None for name in EXPORTS)
+    assert namespace["__version__"] == "0.1.0"
+    assert set(EXPORTS) <= set(semistable_gate.__all__)
+    with pytest.raises(ImportError):
+        exec("from semistable_gate import no_such_name", {})
+
+
+def test_imports_follow_the_command():
+    # compared with a snapshot: site .pth files may load some of them first
+    doc = '{"field":{"d":1,"disc":1,"h_plus":1},"query":{"g":1,"variant":"st","ell":[]}}'
+    code = ("import io, sys\n"
+            "before = set(sys.modules)\n"
+            "import semistable_gate\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.startswith('semistable_gate.')))\n"
+            f"sys.stdin, sys.stdout = io.StringIO({doc!r}), io.StringIO()\n"
+            "from semistable_gate import cli\n"
+            "code = cli.main(['rt', '--min-ell'])\n"
+            "out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+            "unwanted = {'semistable_gate.gate', 'semistable_gate.weil', 'semistable_gate.intpoly',\n"
+            "            'semistable_gate.tame', 'fractions', 'decimal'}\n"
+            "print(code, '\"min_ell\": 17' in out, sorted(unwanted & (set(sys.modules) - before)))\n")
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.splitlines() == ["[]", "0 True []"]
+
+
+def test_help_and_usage_errors_match_a_parser_of_all_ten_commands(capsys, monkeypatch):
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    monkeypatch.setenv("COLUMNS", "80")
+    argvs = [[], ["-h"], ["no-such-command"]] + [
+        [name, *flags] for name in cli.COMMANDS
+        for flags in (["-h"], ["--bogus"], ["--ell", "x"])]
+    built = [outcome(argv) for argv in argvs]
+    assert "error: argument command: invalid choice: 'no-such-command'" in built[2][2]
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda names: build(cli.COMMANDS))
+    for argv, got in zip(argvs, built):
+        assert outcome(argv) == got, argv
 
 
 def test_cli_imports_without_numpy():
@@ -381,7 +472,17 @@ def test_memory_error_exits_4_without_a_traceback():
     assert "MemoryError" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_recursion_error_exits_4_without_a_traceback():
+def test_deeply_nested_document_exits_2_without_a_traceback():
     proc = _cli_process('{"query": ' + "[" * 100_000 + "]" * 100_000 + "}", "rt")
-    assert proc.returncode == 4 and proc.stdout == ""
-    assert "RecursionError" in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "schema error: invalid JSON" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_recursion_error_exits_4_without_a_traceback(capsys, monkeypatch):
+    def deep(poly, s):
+        raise RecursionError("synthetic")
+
+    monkeypatch.setattr(intpoly, "power_transform", deep)
+    code, out, err = run_cli(capsys, "power-transform", {"query": {"poly": [2, 1, 1], "s": 2}})
+    assert code == 4 and out == ""
+    assert err == "resource exhausted: RecursionError synthetic\n"

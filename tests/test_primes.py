@@ -1,3 +1,6 @@
+import pytest
+
+from semistable_gate.errors import brief
 from semistable_gate.primes import (
     is_prime,
     is_prime_power,
@@ -30,3 +33,13 @@ def test_prime_count_lower_bound_below_exact_count():
             count += 1
         assert prime_count_lower_bound(x) <= count, x
     assert prime_count_lower_bound(10 ** 12) > 10 ** 10  # refuses a sweep before sieving
+
+
+def test_messages_abbreviate_integers_past_100_digits():
+    assert brief(10 ** 100 - 1) == "9" * 100
+    assert brief(-(10 ** 100)) == "-1000000000...0000000000 (101 digits)"
+    # past the int-to-str digit limit, which str() itself refuses
+    assert brief(10 ** 123456 + 17) == "1000000000...0000000017 (123457 digits)"
+    n = 43 ** 3100  # 5064 digits, and no Miller-Rabin witness divides it
+    with pytest.raises(ValueError, match=r"^primality of \d{10}\.\.\.\d{10} \(5064 digits\)"):
+        is_prime(n)
