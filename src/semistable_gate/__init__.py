@@ -13,8 +13,8 @@ _EXPORTS = {
     "bounds": """DerivedConstants FieldInvariants PrimeSituation RepFamilyParams Setting
         Verdict central_binomial cor1_setting cor2_setting decide decide_cor1 decide_cor2
         decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
-        ec_irred_setting etale_setting least_empty_prime lemma_bound parity_obstruction
-        rt_setting trivial_setting""",
+        ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting
+        trivial_setting""",
     "gate": """CongruenceInstance GateOutcome GateVerdict counterexample_search
         forced_equality symmetric_congruence""",
     "intpoly": """IntPolynomial PowerSums from_power_sums from_prime_power_roots power_sums

@@ -364,20 +364,3 @@ def decide_etale(
     cohomology group is not residually Borel"."""
     return decide(etale_setting(inv, b_w, ell_X, w), ell, ps)
 
-
-def parity_obstruction(e: int, w: int, r: int, n: int) -> str:
-    """Which contradiction refutes a hypothetical uniform tame weight e*w/2.
-
-    NonIntegral: e*w odd, so e*w/2 is not an integer.
-    RangeExceeded: w/2 > r, outside the semistable weight range [0, e*r].
-    DivisibilityFails: the weight sum n*e*w/2 is not divisible by e.
-    """
-    if e < 1:
-        raise ValueError("e must be positive")
-    if (e * w) % 2 == 1:
-        return "NonIntegral"
-    if w > 2 * r:
-        return "RangeExceeded"
-    if (n * e * w // 2) % e != 0:
-        return "DivisibilityFails"
-    return "None"

@@ -7,6 +7,13 @@ timestamps.  Exit codes: 0 success (NotDecided included), 2 schema error,
 3 domain precondition failure, 4 internal consistency failure or an
 exhausted resource (memory, recursion depth).
 
+`COMMANDS` is each command's whole input contract: per section (field,
+params, query), the record built from it and each key's schema type: int,
+bool, str, "int_list" (an integer or a list of integers), "prime",
+"prime_list" (an integer or a list, each entry prime) or "prime_power".
+Every type is checked before the prime tests, and a record's ValueError is
+a schema error, so a document with two faults may report either.
+
 A process pays only for its command: `main` builds only the subparser of
 the command argv names (all ten for help, no command or an unknown one),
 and the handlers import `gate`, `weil`, `intpoly` and `tame` when they run.
@@ -129,8 +136,27 @@ def _as_list(v) -> list:
     return list(v) if isinstance(v, list) else [v]
 
 
+def _section(doc: dict, name: str, make, required: dict, optional: dict):
+    """The record `make` builds from the document's section `name`."""
+    if name not in doc:
+        raise SchemaError(f"missing {name!r} section")
+    return _record(make, **_take(doc[name], name, required, optional))
+
+
+def _record(make, *args, **kwargs):
+    """make(*args, **kwargs), a ValueError it raises being a schema error
+    (a PreconditionError stays one)."""
+    try:
+        return make(*args, **kwargs)
+    except PreconditionError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
 def _take(d, where: str, required: dict, optional: dict) -> dict:
-    """Strict-schema field extraction: every key typed, unknown keys rejected."""
+    """Strict-schema field extraction: every key typed, unknown keys
+    rejected; then the prime and prime-power keys tested, in schema order."""
     if not isinstance(d, dict):
         raise SchemaError(f"{where} must be a JSON object")
     unknown = set(d) - set(required) - set(optional)
@@ -144,11 +170,18 @@ def _take(d, where: str, required: dict, optional: dict) -> dict:
     for key, typ in optional.items():
         if key in d:
             out[key] = _coerce(d[key], typ, f"{where}.{key}")
+    for key, value in out.items():
+        typ = required.get(key, optional.get(key))
+        if typ == "prime_power" and not is_prime_power(value):
+            raise SchemaError(f"{where}.{key} = {brief(value)} is not a prime power")
+        for n in _as_list(value) if typ in ("prime", "prime_list") else ():
+            if not is_prime(n):
+                raise SchemaError(f"{where}.{key} = {brief(n)} is not prime")
     return out
 
 
 def _coerce(value, typ, where: str):
-    if typ is int:
+    if typ in (int, "prime", "prime_power"):
         if isinstance(value, bool) or not isinstance(value, int):
             raise SchemaError(f"{where} must be an integer")
         return value
@@ -156,7 +189,7 @@ def _coerce(value, typ, where: str):
         if not isinstance(value, bool):
             raise SchemaError(f"{where} must be a boolean")
         return value
-    if typ == "int_list":
+    if typ in ("int_list", "prime_list"):
         vals = _as_list(value)
         if not all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
             raise SchemaError(f"{where} must be an integer or list of integers")
@@ -168,49 +201,9 @@ def _coerce(value, typ, where: str):
     raise AssertionError(f"unhandled schema type {typ}")
 
 
-def _require_prime(n: int, where: str) -> int:
-    if not is_prime(n):
-        raise SchemaError(f"{where} = {brief(n)} is not prime")
-    return n
-
-
-def _require_prime_power(n: int, where: str) -> int:
-    if not is_prime_power(n):
-        raise SchemaError(f"{where} = {brief(n)} is not a prime power")
-    return n
-
-
-def _parse_field(doc: dict) -> FieldInvariants:
-    if "field" not in doc:
-        raise SchemaError("missing 'field' section")
-    f = _take(doc["field"], "field",
-              {"d": int, "disc": int, "h_plus": int},
-              {"galois_odd_degree": bool})
-    try:
-        return FieldInvariants(**f)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
-def _parse_params(doc: dict) -> RepFamilyParams:
-    if "params" not in doc:
-        raise SchemaError("missing 'params' section")
-    p = _take(doc["params"], "params",
-              {"n": int, "ell0": int, "r": int, "variant": str},
-              {"w": int, "w_bar": int, "cyclotomic": bool})
-    _require_prime(p["ell0"], "params.ell0")
-    try:
-        return RepFamilyParams(**p)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-
-
-def _poly_from_query(coeffs: list[int]) -> IntPolynomial:
+def _poly(coeffs: list[int]) -> IntPolynomial:
     from .intpoly import IntPolynomial
-    try:
-        return IntPolynomial(tuple(coeffs))
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return _record(IntPolynomial, tuple(coeffs))
 
 
 def _verdict_body(v: Verdict) -> dict:
@@ -224,30 +217,16 @@ def _verdict_body(v: Verdict) -> dict:
 
 
 def _dispatch(command: str, doc: dict, args: argparse.Namespace) -> dict:
-    """Check the top-level sections, parse the field, params and query the
+    """Check the top-level sections, read the field, params and query the
     command takes, and wrap its handler's body in the certificate."""
-    _, handler, sections, schema, optional = COMMANDS[command]
-    unknown = set(doc) - sections
+    _, handler, sections = COMMANDS[command]
+    unknown = set(doc) - set(sections)
     if unknown:
         raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")
-    inv = _parse_field(doc) if "field" in sections else None
-    p = _parse_params(doc) if "params" in sections else None
-    query = _query(doc, schema, optional) if "query" in sections else None
+    inv, p, query = (_section(doc, name, *sections[name]) if name in sections else None
+                     for name in ("field", "params", "query"))
     return {"tool": TOOL, "version": __version__, "command": command, "input": doc,
             **handler(inv, p, query, args)}
-
-
-def _query(doc: dict, required: dict, optional: dict) -> dict:
-    if "query" not in doc:
-        raise SchemaError("missing 'query' section")
-    return _take(doc["query"], "query", required, optional)
-
-
-def _ell_list(query: dict) -> list[int]:
-    ells = query["ell"]
-    for ell in ells:
-        _require_prime(ell, "query.ell")
-    return ells
 
 
 def _cmd_constants(inv, p, query, args) -> dict:
@@ -260,23 +239,20 @@ def _cmd_constants(inv, p, query, args) -> dict:
     }}
 
 
-class _Decision(namedtuple("_Decision", "check settings several", defaults=(False,))):
-    """Handler of a decision command: `check` vets the parsed query, and
-    `settings(inv, p, query)` gives its settings, built once.  With
-    `several`, each ell lists the verdict of every setting, leaving out at
-    ell0 those that refuse it (all but Trivial, which has ell != ell0 as a
-    hypothesis); otherwise the entry is the one setting's verdict, and ell0
-    is outside the framework."""
+class _Decision(namedtuple("_Decision", "settings several", defaults=(False,))):
+    """Handler of a decision command: `settings(inv, p, query)` gives its
+    settings, built once.  With `several`, each ell lists the verdict of
+    every setting, leaving out at ell0 those that refuse it (all but
+    Trivial, which has ell != ell0 as a hypothesis); otherwise the entry is
+    the one setting's verdict, and ell0 is outside the framework."""
 
     __slots__ = ()
 
     def __call__(self, inv, p, query, args) -> dict:
-        self.check(query)
-        ells = _ell_list(query)
         settings = self.settings(inv, p, query)
         flags = (query.get("divides_disc", False), query.get("splits_in_K", False))
         body: dict = {"verdicts": []}
-        for ell in ells:
+        for ell in query["ell"]:
             ps = PrimeSituation.of(inv, ell, *flags)
             verdicts = [_verdict_body(decide(s, ell, ps)) for s in settings
                         if not self.several or ell != s.ell0 or s.theorem == "Trivial"]
@@ -287,16 +263,16 @@ class _Decision(namedtuple("_Decision", "check settings several", defaults=(Fals
         return body
 
 
-def _check_rt(query: dict) -> None:
+def _rt_settings(inv, p, query) -> list[Setting]:
     variant, ell0 = query["variant"], query.get("ell0")
     if variant not in ("st", "st_with_ell0"):
         raise SchemaError(f"query.variant must be 'st' or 'st_with_ell0', got {variant!r}")
     if variant == "st_with_ell0":
         if ell0 is None:
             raise SchemaError("query.ell0 is required for variant 'st_with_ell0'")
-        _require_prime(ell0, "query.ell0")
     elif ell0 is not None:
         raise SchemaError("query.ell0 is only meaningful for variant 'st_with_ell0'")
+    return [rt_setting(inv, query["g"], variant, ell0)]
 
 
 def _uniform_weight_settings(inv, p, query) -> list[Setting]:
@@ -306,13 +282,9 @@ def _uniform_weight_settings(inv, p, query) -> list[Setting]:
 
 def _cmd_tame_weights(inv, p, query, args) -> dict:
     from .tame import TameCharacterExponent, canonical_exponent, digit_weights, frobenius_orbit
-    (ell,) = _ell_list(query) if len(query["ell"]) == 1 else (None,)
-    if ell is None:
+    if len(query["ell"]) != 1:
         raise SchemaError("tame-weights takes a single prime ell")
-    try:
-        c = TameCharacterExponent(ell, query["h"], query["n_f"])
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    c = _record(TameCharacterExponent, query["ell"][0], query["h"], query["n_f"])
     return {
         "digits": sorted(digit_weights(c).elements()),
         "canonical": canonical_exponent(c),
@@ -322,8 +294,7 @@ def _cmd_tame_weights(inv, p, query, args) -> dict:
 
 def _cmd_weil_check(inv, p, query, args) -> dict:
     from .weil import functional_equation_check, validate_weights
-    _require_prime_power(query["q"], "query.q")
-    poly = _poly_from_query(query["poly"])
+    poly = _poly(query["poly"])
     weights = query["weights"]
     if len(weights) != poly.degree:
         raise SchemaError("weights must have one entry per root")
@@ -341,23 +312,17 @@ def _cmd_power_transform(inv, p, query, args) -> dict:
     from .intpoly import power_transform
     if query["s"] < 0:
         raise SchemaError("query.s must be non-negative")
-    poly = _poly_from_query(query["poly"])
-    out = power_transform(poly, query["s"])
+    out = power_transform(_poly(query["poly"]), query["s"])
     return {"result": list(out.coeffs)}
 
 
 def _cmd_gate(inv, p, query, args) -> dict:
     from .gate import CongruenceInstance, forced_equality
     from .weil import WeilDatum
-    _require_prime_power(query["q"], "query.q")
-    poly = _poly_from_query(query["poly"])
     w_bar = query.get("w_bar", sum(query["weights"]))
-    try:
-        datum = WeilDatum(poly, query["q"], tuple(query["weights"]), w_bar)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    datum = _record(WeilDatum, _poly(query["poly"]), query["q"], tuple(query["weights"]), w_bar)
     verdicts = []
-    for ell in _ell_list(query):
+    for ell in query["ell"]:
         inst = CongruenceInstance(datum, query["s"], query["u"], tuple(query["t"]),
                                   ell, d=query.get("d", 1), r=query.get("r", 1))
         v = forced_equality(inst)
@@ -379,7 +344,6 @@ def _render_matched(matched) -> list | None:
 
 def _cmd_gate_search(inv, p, query, args) -> dict:
     from .gate import counterexample_search
-    _require_prime_power(query["q"], "query.q")
     found = counterexample_search(query["q"], query["n"], query["s_max"],
                                   query["ell_max"], budget=args.budget)
     instances = [{
@@ -392,55 +356,59 @@ def _cmd_gate_search(inv, p, query, args) -> dict:
     return {"count": len(instances), "instances": instances}
 
 
+# A section's schema: (the record built from it, required keys, optional
+# keys), each key mapped to its schema type.
+_FIELD = (FieldInvariants, {"d": int, "disc": int, "h_plus": int}, {"galois_odd_degree": bool})
+_PARAMS = (RepFamilyParams, {"n": int, "ell0": "prime", "r": int, "variant": str},
+           {"w": int, "w_bar": int, "cyclotomic": bool})
 _FLAGS = {"divides_disc": bool, "splits_in_K": bool}
 
-# command -> (help text, handler, top-level sections, query schema, optional
-# query keys).  A handler takes the parsed field, params and query (None for
-# a section the command lacks) and the arguments, and returns the body of
-# the certificate.  A decision command's query always takes the two
-# prime-situation flags.
+# command -> (help text, handler, section -> schema).  A handler takes the
+# field, params and query records (None for a section the command lacks) and
+# the arguments, and returns the body of the certificate.  A decision
+# command's query always takes the two prime-situation flags.
 COMMANDS = {
     "constants": (
         "derived threshold constants for (field, params)",
-        _cmd_constants, {"field", "params"}, None, None),
+        _cmd_constants, {"field": _FIELD, "params": _PARAMS}),
     "decide": (
         "trivial-case + uniform-weight emptiness decisions",
-        _Decision(lambda q: None, _uniform_weight_settings, several=True),
-        {"field", "params", "query"}, {"ell": "int_list"}, _FLAGS),
+        _Decision(_uniform_weight_settings, several=True),
+        {"field": _FIELD, "params": _PARAMS, "query": (dict, {"ell": "prime_list"}, _FLAGS)}),
     "rt": (
         "abelian-variety torsion-tower emptiness thresholds",
-        _Decision(_check_rt,
-                  lambda inv, p, q: [rt_setting(inv, q["g"], q["variant"], q.get("ell0"))]),
-        {"field", "query"}, {"g": int, "ell": "int_list", "variant": str},
-        {"ell0": int, **_FLAGS}),
+        _Decision(_rt_settings),
+        {"field": _FIELD, "query": (dict, {"g": int, "ell": "prime_list", "variant": str},
+                                    {"ell0": "prime", **_FLAGS})}),
     "ec-irred": (
         "elliptic-curve ell-torsion irreducibility",
-        _Decision(lambda q: _require_prime(q["ell_E"], "query.ell_E"),
-                  lambda inv, p, q: [ec_irred_setting(inv, q["ell_E"])]),
-        {"field", "query"}, {"ell_E": int, "ell": "int_list"}, _FLAGS),
+        _Decision(lambda inv, p, q: [ec_irred_setting(inv, q["ell_E"])]),
+        {"field": _FIELD, "query": (dict, {"ell_E": "prime", "ell": "prime_list"}, _FLAGS)}),
     "etale": (
         "odd-degree etale cohomology residual-Borel exclusion",
-        _Decision(lambda q: _require_prime(q["ell_X"], "query.ell_X"),
-                  lambda inv, p, q: [etale_setting(inv, q["b_w"], q["ell_X"], q["w"])]),
-        {"field", "query"}, {"b_w": int, "ell_X": int, "w": int, "ell": "int_list"}, _FLAGS),
+        _Decision(lambda inv, p, q: [etale_setting(inv, q["b_w"], q["ell_X"], q["w"])]),
+        {"field": _FIELD, "query": (dict, {"b_w": int, "ell_X": "prime", "w": int,
+                                           "ell": "prime_list"}, _FLAGS)}),
     "tame-weights": (
         "digit multiset / orbit of a tame character exponent",
-        _cmd_tame_weights, {"query"}, {"ell": "int_list", "h": int, "n_f": int}, {}),
+        _cmd_tame_weights, {"query": (dict, {"ell": "prime_list", "h": int, "n_f": int}, {})}),
     "weil-check": (
         "root absolute-value and functional-equation checks",
-        _cmd_weil_check, {"query"}, {"poly": "int_list", "q": int, "weights": "int_list"}, {}),
+        _cmd_weil_check,
+        {"query": (dict, {"poly": "int_list", "q": "prime_power", "weights": "int_list"}, {})}),
     "power-transform": (
         "roots-to-s-th-powers transform of a monic polynomial",
-        _cmd_power_transform, {"query"}, {"poly": "int_list", "s": int}, {}),
+        _cmd_power_transform, {"query": (dict, {"poly": "int_list", "s": int}, {})}),
     "gate": (
         "congruence-forcing verdict on one instance",
-        _cmd_gate, {"query"},
-        {"poly": "int_list", "q": int, "weights": "int_list",
-         "s": int, "u": int, "t": "int_list", "ell": "int_list"},
-        {"w_bar": int, "d": int, "r": int}),
+        _cmd_gate,
+        {"query": (dict, {"poly": "int_list", "q": "prime_power", "weights": "int_list",
+                          "s": int, "u": int, "t": "int_list", "ell": "prime_list"},
+                   {"w_bar": int, "d": int, "r": int})}),
     "gate-search": (
         "exhaustive sub-bound counterexample sweep",
-        _cmd_gate_search, {"query"}, {"q": int, "n": int, "s_max": int, "ell_max": int}, {}),
+        _cmd_gate_search,
+        {"query": (dict, {"q": "prime_power", "n": int, "s_max": int, "ell_max": int}, {})}),
 }
 
 

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .errors import brief
+from .errors import PreconditionError, brief
 from .primes import is_prime
+
+# Python's default int-to-str limit: a certificate prints no longer integer
+DIGIT_LIMIT = 4300
 
 
 class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level exponent")):
@@ -23,6 +26,13 @@ class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level expon
             raise ValueError(f"ell = {brief(ell)} is not prime")
         if level < 1:
             raise ValueError("level must be positive")
+        # the orbit of a nonzero exponent rotates a nonzero digit to the top,
+        # so it holds an integer of at least ell^(level-1); the bit-length
+        # test comes first, so that power is small
+        if ((ell.bit_length() - 1) * (level - 1) > 4 * DIGIT_LIMIT
+                or ell ** (level - 1) >= 10 ** DIGIT_LIMIT):
+            raise PreconditionError(f"level {brief(level)} is too large: the orbit of a nonzero "
+                                    f"exponent holds an integer of more than {DIGIT_LIMIT} digits")
         modulus = ell ** level - 1
         if not 0 <= exponent <= modulus - 1:
             raise ValueError(f"exponent must lie in [0, {brief(modulus - 1)}], got {brief(exponent)}")

@@ -15,7 +15,6 @@ from semistable_gate.bounds import (
     decide_rt,
     decide_trivial,
     derived_constants,
-    parity_obstruction,
 )
 from semistable_gate.errors import EllEqualsEll0, WEven
 
@@ -188,13 +187,6 @@ def test_decide_etale_examples():
     assert (v.conclusion, v.threshold) == ("Empty", 192)
     with pytest.raises(WEven):
         decide_etale(Q_FIELD, 2, 2, 2, 17, PrimeSituation.rational(17))
-
-
-def test_parity_obstruction():
-    assert parity_obstruction(1, 1, 1, 2) == "NonIntegral"
-    assert parity_obstruction(2, 3, 1, 2) == "RangeExceeded"
-    assert parity_obstruction(2, 1, 1, 3) == "DivisibilityFails"
-    assert parity_obstruction(2, 2, 1, 2) == "None"
 
 
 def test_thresholds_monotone_in_every_parameter():

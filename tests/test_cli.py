@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from semistable_gate import cli, gate, intpoly
 from semistable_gate.intpoly import IntPolynomial, poly_mul
@@ -339,8 +340,8 @@ EXPORTS = """
     DerivedConstants FieldInvariants PrimeSituation RepFamilyParams Setting Verdict
     central_binomial cor1_setting cor2_setting decide decide_cor1 decide_cor2
     decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
-    ec_irred_setting etale_setting least_empty_prime lemma_bound parity_obstruction
-    rt_setting trivial_setting
+    ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting
+    trivial_setting
     CongruenceInstance GateOutcome GateVerdict counterexample_search forced_equality
     symmetric_congruence
     IntPolynomial PowerSums from_power_sums from_prime_power_roots power_sums
@@ -486,3 +487,102 @@ def test_recursion_error_exits_4_without_a_traceback(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "power-transform", {"query": {"poly": [2, 1, 1], "s": 2}})
     assert code == 4 and out == ""
     assert err == "resource exhausted: RecursionError synthetic\n"
+
+
+Q1 = {"d": 1, "disc": 1, "h_plus": 1}
+BULLET = {"n": 2, "ell0": 2, "r": 1, "variant": "bullet", "w": 1}
+GATE = {"poly": [2, 1, 1], "q": 2, "weights": [1, 1], "s": 2, "u": 2, "t": [1, 1], "ell": 7}
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("decide", {"field": Q1, "params": BULLET, "query": {"ell": [17, 15]}},
+     "query.ell = 15 is not prime"),
+    ("constants", {"field": Q1, "params": dict(BULLET, ell0=4)}, "params.ell0 = 4 is not prime"),
+    ("rt", {"field": Q1, "query": {"g": 1, "variant": "st_with_ell0", "ell0": 9, "ell": 17}},
+     "query.ell0 = 9 is not prime"),
+    ("ec-irred", {"field": Q1, "query": {"ell_E": 1, "ell": 17}}, "query.ell_E = 1 is not prime"),
+    ("etale", {"field": Q1, "query": {"b_w": 2, "ell_X": 0, "w": 1, "ell": 17}},
+     "query.ell_X = 0 is not prime"),
+    ("weil-check", {"query": {"poly": [2, 1, 1], "q": 6, "weights": [1, 1]}},
+     "query.q = 6 is not a prime power"),
+    ("gate", {"query": dict(GATE, q=1)}, "query.q = 1 is not a prime power"),
+    ("gate-search", {"query": {"q": -4, "n": 2, "s_max": 1, "ell_max": 50}},
+     "query.q = -4 is not a prime power"),
+], ids=["ell", "params.ell0", "ell0", "ell_E", "ell_X", "weil-check-q", "gate-q", "gate-search-q"])
+def test_a_schema_typed_key_with_one_fault_names_it(capsys, command, doc, message):
+    assert run_cli(capsys, command, doc) == (2, "", f"schema error: {message}\n")
+
+
+@pytest.mark.parametrize("h", [10 ** 4, 10 ** 9])
+def test_tame_weights_refuses_a_level_past_the_digit_limit_at_once(capsys, h):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "tame-weights", {"query": {"ell": 5, "h": h, "n_f": 7}})
+    assert time.perf_counter() - start < 0.5
+    assert code == 3 and out == ""
+    assert err == (f"precondition failure: level {h} is too large: the orbit of a nonzero "
+                   "exponent holds an integer of more than 4300 digits\n")
+
+
+# Documents drawn from every command's schema, with small values, then
+# perturbed: a key or section dropped, an unknown key, a wrong type, a
+# non-object section or broken JSON.
+SMALL = st.integers(1, 4) | st.integers(-2, 12)
+INT_LIST = SMALL | st.lists(SMALL, max_size=4) | st.lists(SMALL, max_size=3).map(lambda c: [*c, 1])
+PRIMES = st.sampled_from([-2, 0, 1, 2, 3, 4, 5, 7, 9, 11, 13, 2 ** 89 - 1])
+VALUES = {
+    int: SMALL, bool: st.booleans(), "int_list": INT_LIST,
+    str: st.sampled_from(["bullet", "circle", "st", "st_with_ell0", "x"]),
+    "prime": PRIMES, "prime_list": PRIMES | st.lists(PRIMES, max_size=3),
+    "prime_power": st.sampled_from([-4, 1, 2, 3, 4, 6, 8, 9, 25, 27]),
+}
+WRONG = st.sampled_from(["x", 1.5, None, [], {}, True, [1, "a"], {"a": 1}])
+
+
+@st.composite
+def cli_documents(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    _, handler, sections = cli.COMMANDS[command]
+    doc = {}
+    for name, (_, required, optional) in sections.items():
+        schema = {**required, **{k: t for k, t in optional.items() if draw(st.booleans())}}
+        doc[name] = {key: draw(VALUES[typ]) for key, typ in schema.items()}
+    faults = draw(st.just([]) | st.lists(
+        st.sampled_from(["drop", "unknown", "type", "section", "json"]), max_size=2))
+    for fault in faults:
+        name = draw(st.sampled_from(sorted(doc))) if doc else None
+        keys = sorted(doc[name]) if isinstance(doc.get(name), dict) else []
+        if fault == "drop" and name:
+            doc[name].pop(draw(st.sampled_from(keys))) if keys else doc.pop(name)
+        elif fault == "unknown":
+            (doc[name] if keys and draw(st.booleans()) else doc)["extra"] = 1
+        elif fault == "type" and keys:
+            doc[name][draw(st.sampled_from(keys))] = draw(WRONG)
+        elif fault == "section" and name:
+            doc[name] = draw(WRONG.filter(lambda v: not isinstance(v, dict)))
+    text = json.dumps(doc)
+    if "json" in faults:
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    flags = ["--min-ell"] if isinstance(handler, cli._Decision) and draw(st.booleans()) else []
+    if command == "gate-search":
+        flags += ["--budget", "2000"]
+    return command, text, flags
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_documents())
+def test_every_document_ends_in_a_known_exit_with_a_message(case):
+    import contextlib, io
+    command, text, flags = case
+    stdout, stderr, old_stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main([command, *flags])
+    finally:
+        sys.stdin = old_stdin
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out == "" and err.strip()
+    else:
+        assert out == cli.canonical_json(json.loads(out)) + "\n" and err == ""

@@ -2,7 +2,10 @@ from collections import Counter
 
 import pytest
 
+from semistable_gate.errors import PreconditionError
+from semistable_gate.primes import next_prime
 from semistable_gate.tame import (
+    DIGIT_LIMIT,
     TameCharacterExponent,
     base_digits,
     canonical_exponent,
@@ -50,6 +53,19 @@ def test_invalid_exponent_rejected():
         TameCharacterExponent(4, 2, 1)   # 4 not prime
     with pytest.raises(ValueError):
         TameCharacterExponent(5, 0, 0)
+
+
+def test_the_level_bound_refuses_only_levels_no_nonzero_orbit_prints_at():
+    ell = next_prime(10 ** 24)
+    h = 1
+    while ell ** h < 10 ** DIGIT_LIMIT:
+        h += 1
+    # ell^(h-1) < 10^4300 <= ell^h - 1: the orbit of 1 still prints at level h
+    assert max(frobenius_orbit(TameCharacterExponent(ell, h, 1))) == ell ** (h - 1)
+    with pytest.raises(PreconditionError, match=f"level {h + 1} is too large"):
+        TameCharacterExponent(ell, h + 1, 0)
+    with pytest.raises(PreconditionError):
+        TameCharacterExponent(2, 10 ** 9, -1)  # before the exponent's range
 
 
 # exhaustive invariance suites over ell in {2,3,5,7}, h <= 3
