@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "bounds": """DerivedConstants FieldInvariants PrimeSituation RepFamilyParams Setting
+    "bounds": """DerivedConstants FieldInvariants RepFamilyParams Setting
         Verdict central_binomial cor1_setting cor2_setting decide decide_cor1 decide_cor2
         decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
         ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting

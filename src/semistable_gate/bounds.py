@@ -4,15 +4,15 @@ The emptiness theorems are data: `THEOREMS` gives each a gate of named
 hypotheses and situations tried in order, each (label, hypotheses,
 threshold).  Every threshold is `lemma_bound`, 2*c*base^ceil(e), a (b)-type
 one at d times the exponent of its (a)-type partner.  A `Setting` applies a
-theorem to one family (`trivial_setting`, ..., `etale_setting`); `decide`
-runs its ladder at one prime, and `least_empty_prime` finds in closed form
-the least prime it certifies.  The CLI builds a query's settings once and
-uses these two; the `decide_*` functions are library entries that build a
-setting and decide at one prime.  All arithmetic is exact, and a decision
-is Empty, with a hypothesis trace, or NotDecided: no procedure ever asserts
-non-emptiness.  The records (`FieldInvariants`, `Verdict`, ...) are named
-tuples, which cost nothing to define at import time; those with constraints
-check them when built.
+theorem to one family (`trivial_setting`, ..., `etale_setting`) and keeps
+the base field's discriminant.  `decide` runs its ladder at one prime and
+`least_empty_prime` finds in closed form the least prime it certifies; both
+read the table and the flags in `_situations`, so every caller reads them
+alike, and ell divides the discriminant whenever it does in fact.  All
+arithmetic is exact, and a decision is Empty, with a hypothesis trace, or
+NotDecided: no procedure ever asserts non-emptiness.  The records
+(`FieldInvariants`, `Verdict`, ...) are named tuples, which cost nothing to
+define at import time; those with constraints check them when built.
 """
 
 from __future__ import annotations
@@ -38,31 +38,6 @@ class FieldInvariants(namedtuple("FieldInvariants", "d disc h_plus galois_odd_de
         if galois_odd_degree and d % 2 == 0:
             raise ValueError("galois_odd_degree requires odd d")
         return super().__new__(cls, d, disc, h_plus, galois_odd_degree)
-
-
-class PrimeSituation(namedtuple("PrimeSituation", "ell divides_disc splits_in_K",
-                                defaults=(False, False))):
-    """Caller-supplied splitting data for a prime ell in the base field.
-
-    For d = 1 both flags are forced to False: over the rationals there is a
-    unique place above ell and the discriminant is 1.
-    """
-
-    __slots__ = ()
-
-    @staticmethod
-    def rational(ell: int) -> PrimeSituation:
-        return PrimeSituation(ell, divides_disc=False, splits_in_K=False)
-
-    @staticmethod
-    def of(inv: FieldInvariants, ell: int, divides_disc: bool = False,
-           splits_in_K: bool = False) -> PrimeSituation:
-        """The flags read soundly: over Q neither can hold, and otherwise ell
-        divides the discriminant whenever it does in fact, so a flag can only
-        make a verdict more conservative."""
-        if inv.d == 1:
-            return PrimeSituation.rational(ell)
-        return PrimeSituation(ell, divides_disc or inv.disc % ell == 0, splits_in_K)
 
 
 class RepFamilyParams(namedtuple("RepFamilyParams", "n ell0 r variant w w_bar cyclotomic")):
@@ -178,18 +153,21 @@ THEOREMS = {
 }
 
 
-class Setting(namedtuple("Setting", "theorem thresholds facts ell0", defaults=(None,))):
+class Setting(namedtuple("Setting", "theorem thresholds facts disc ell0", defaults=(None,) * 2)):
     """A theorem applied to one family: its (a, b) thresholds, the truth of
-    the hypotheses that do not depend on ell (a dict), and the prime ell0 it
-    never certifies (NotDecided under an ell_ne_ell0 hypothesis, else
-    outside the framework)."""
+    the hypotheses that do not depend on ell (a dict), the base field's
+    discriminant (None over Q), and the prime ell0 it never certifies."""
 
     __slots__ = ()
 
+    def refuses(self, ell: int) -> bool:
+        """ell = ell0 is outside the framework unless the gate tests ell != ell0."""
+        return ell == self.ell0 and "ell_ne_ell0" not in THEOREMS[self.theorem][0]
 
-def _facts(inv: FieldInvariants, p: RepFamilyParams | None = None) -> dict[str, bool]:
-    """The hypotheses that do not depend on ell; those about the weight
-    need the bullet variant."""
+
+def _facts(inv: FieldInvariants, p: RepFamilyParams | None = None) -> tuple[dict, int | None]:
+    """The hypotheses that do not depend on ell, and the discriminant (None
+    over Q); those about the weight need the bullet variant."""
     facts = {"degree_odd": inv.d % 2 == 1, "galois_odd_degree": inv.galois_odd_degree}
     if p is not None:
         if p.variant != "bullet":
@@ -197,25 +175,25 @@ def _facts(inv: FieldInvariants, p: RepFamilyParams | None = None) -> dict[str, 
         w_odd, w_big = p.w % 2 == 1, p.w > 2 * p.r
         facts.update(w_odd=w_odd, w_gt_2r=w_big, w_odd_or_w_gt_2r=w_odd or w_big,
                      n_odd=p.n % 2 == 1)
-    return facts
+    return facts, None if inv.d == 1 else inv.disc
 
 
 def trivial_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
-    return Setting("Trivial", (0, 0), _facts(inv, p), p.ell0)
+    return Setting("Trivial", (0, 0), *_facts(inv, p), p.ell0)
 
 
 def cor1_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
     facts = _facts(inv, p)
     if not p.cyclotomic:
         raise ValueError("this decision applies to the cyclotomic subfamily only")
-    c = derived_constants(inv, p)
-    return Setting("Cor1", (c.C1, c.C2), facts, p.ell0)
+    M = size_exponent(p.n, p.r, p.weight_budget)
+    return Setting("Cor1", _a_b(p.n, p.ell0, inv.d, M, 1), *facts, p.ell0)
 
 
 def cor2_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
     facts = _facts(inv, p)
-    c = derived_constants(inv, p)
-    return Setting("Cor2", (c.C1p, c.C2p), facts, p.ell0)
+    M = size_exponent(p.n, p.r, p.weight_budget)
+    return Setting("Cor2", _a_b(p.n, p.ell0, inv.d, M, inv.h_plus), *facts, p.ell0)
 
 
 def rt_setting(inv: FieldInvariants, g: int, variant: str,
@@ -230,18 +208,18 @@ def rt_setting(inv: FieldInvariants, g: int, variant: str,
     if g < 1:
         raise ValueError("g must be positive")
     if variant == "st":
-        return Setting("RTst", _a_b(2 * g, 2, inv.d, 2 * g, 1), _facts(inv))
+        return Setting("RTst", _a_b(2 * g, 2, inv.d, 2 * g, 1), *_facts(inv))
     if variant == "st_with_ell0":
         if ell0 is None:
             raise ValueError("st_with_ell0 requires ell0")
-        return Setting("GRTst", _a_b(2 * g, ell0, inv.d, 2 * g, inv.h_plus), _facts(inv), ell0)
+        return Setting("GRTst", _a_b(2 * g, ell0, inv.d, 2 * g, inv.h_plus), *_facts(inv), ell0)
     raise ValueError(f"unknown variant {variant!r}")
 
 
 def ec_irred_setting(inv: FieldInvariants, ell_E: int) -> Setting:
     """Irreducibility of the ell-torsion of a semistable elliptic curve with
     good reduction above ell_E: thresholds 4*ell_E^(2dh+) and 4*ell_E^(2d^2h+)."""
-    return Setting("Ell", _a_b(2, ell_E, inv.d, 2, inv.h_plus), _facts(inv))
+    return Setting("Ell", _a_b(2, ell_E, inv.d, 2, inv.h_plus), *_facts(inv))
 
 
 def etale_setting(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> Setting:
@@ -251,80 +229,85 @@ def etale_setting(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> Setting
         raise WEven(f"w must be odd, got {brief(w)}")
     if b_w < 1:
         raise ValueError("b_w must be positive")
-    return Setting("Et", _a_b(b_w, ell_X, inv.d, b_w * w, inv.h_plus), _facts(inv))
+    return Setting("Et", _a_b(b_w, ell_X, inv.d, b_w * w, inv.h_plus), *_facts(inv))
 
 
-def _ladder(theorem: str, gate: list, situations: list) -> Verdict:
-    """First situation whose gate and hypotheses all hold certifies Empty,
-    with only its own hypotheses in the trace; otherwise NotDecided with the
-    trace of everything evaluated."""
-    for label, hyps, threshold in situations:
-        if all(ok for _, ok in gate + hyps):
-            return Verdict("Empty", theorem, label, threshold, tuple(gate + hyps))
-    trace = gate + [(f"{label}:{name}", ok) for label, hyps, _ in situations for name, ok in hyps]
-    return Verdict("NotDecided", theorem, None, 0, tuple(trace))
-
-
-def decide(s: Setting, ell: int, ps: PrimeSituation) -> Verdict:
-    """The setting's ladder at the prime ell, with the flags of ps."""
+def _situations(s: Setting, ell: int | None, divides_disc: bool, splits_in_K: bool):
+    """Each situation of the setting's theorem at the prime ell, as (label,
+    gate, hypotheses, threshold), the gate and hypotheses as (name, truth)
+    pairs; ell None stands for a prime above every threshold, other than
+    ell0, that does not divide the discriminant.  The flags are read
+    soundly: over Q neither can hold, and otherwise ell divides the
+    discriminant whenever it does in fact, so a flag can only make a
+    verdict more conservative."""
+    over_q = s.disc is None
+    facts = {**s.facts, "ell_ne_ell0": ell is None or ell != s.ell0,
+             "ell_not_dividing_disc": over_q or not (
+                 divides_disc or ell is not None and s.disc % ell == 0),
+             "ell_does_not_split_in_K": over_q or not splits_in_K}
     gate, situations = THEOREMS[s.theorem]
-    if ell == s.ell0 and "ell_ne_ell0" not in gate:
-        raise EllEqualsEll0(f"ell = ell0 = {ell} is outside the framework")
-    facts = {**s.facts, "ell_ne_ell0": ell != s.ell0,
-             "ell_not_dividing_disc": not ps.divides_disc,
-             "ell_does_not_split_in_K": not ps.splits_in_K}
-    ladder = []
+    gate = [(h, facts[h]) for h in gate]
     for label, hyps, i in situations:
         threshold = s.thresholds[i]
-        facts["ell_gt_threshold"] = ell > threshold
-        ladder.append((label, [(h, facts[h]) for h in hyps], threshold))
-    return _ladder(s.theorem, [(h, facts[h]) for h in gate], ladder)
+        facts["ell_gt_threshold"] = ell is None or ell > threshold
+        yield label, gate, [(h, facts[h]) for h in hyps], threshold
 
 
-def least_empty_prime(settings: Sequence[Setting], inv: FieldInvariants,
-                      divides_disc: bool = False, splits_in_K: bool = False) -> int | None:
+def decide(s: Setting, ell: int, divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
+    """The setting's ladder at the prime ell.  The first situation whose gate
+    and hypotheses all hold certifies Empty, with only its own hypotheses in
+    the trace; otherwise NotDecided with the trace of everything evaluated."""
+    if s.refuses(ell):
+        raise EllEqualsEll0(f"ell = ell0 = {ell} is outside the framework")
+    trace = []
+    for label, gate, hyps, threshold in _situations(s, ell, divides_disc, splits_in_K):
+        if all(ok for _, ok in gate + hyps):
+            return Verdict("Empty", s.theorem, label, threshold, tuple(gate + hyps))
+        trace += [(f"{label}:{name}", ok) for name, ok in hyps]
+    return Verdict("NotDecided", s.theorem, None, 0, tuple(gate + trace))
+
+
+def least_empty_prime(settings: Sequence[Setting], divides_disc: bool = False,
+                      splits_in_K: bool = False) -> int | None:
     """Least prime some setting certifies Empty, the flags read at every
-    prime as `PrimeSituation.of` reads them; None when no situation can fire.
+    prime as `decide` reads them; None when no situation can fire.
 
     A situation fires at the least prime above its threshold other than its
     setting's ell0 and, if it needs ell_not_dividing_disc, the primes
     dividing the discriminant.  Thresholds go in increasing order while they
     can beat the best prime found, so `next_prime` meets one past its range
     only when no smaller answer exists."""
-    rational = inv.d == 1
-    firing = []
-    for s in settings:
-        facts = {**s.facts, "ell_ne_ell0": True, "ell_gt_threshold": True,
-                 "ell_not_dividing_disc": rational or not divides_disc,
-                 "ell_does_not_split_in_K": rational or not splits_in_K}
-        gate, situations = THEOREMS[s.theorem]
-        for _, hyps, i in situations:
-            if all(facts[h] for h in gate + hyps):
-                coprime = not rational and "ell_not_dividing_disc" in hyps
-                firing.append((s.thresholds[i], coprime, s.ell0))
+    # (threshold, ell0, the discriminant if the situation needs coprimality)
+    firing = [(threshold, s.ell0, s.disc if ("ell_not_dividing_disc", True) in hyps else None)
+              for s in settings
+              for _, gate, hyps, threshold in _situations(s, None, divides_disc, splits_in_K)
+              if all(ok for _, ok in gate + hyps)]
     best = None
-    for threshold, coprime, ell0 in sorted(firing, key=lambda f: f[0]):
+    for threshold, ell0, disc in sorted(firing, key=lambda f: f[0]):
         if best is not None and threshold + 1 >= best:
             break
         ell = next_prime(threshold)
-        while ell == ell0 or coprime and inv.disc % ell == 0:
+        while ell == ell0 or disc and disc % ell == 0:
             ell = next_prime(ell)
         best = ell if best is None else min(best, ell)
     return best
 
 
 # ---- the decision entries ---------------------------------------------------
+# Each builds a setting and decides it at one prime, reading the flags as `decide` does.
 
-def decide_cor1(inv: FieldInvariants, p: RepFamilyParams, ps: PrimeSituation) -> Verdict:
+def decide_cor1(inv: FieldInvariants, p: RepFamilyParams, ell: int, *,
+                divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
     """Emptiness for the cyclotomic-graded uniform-weight family, via the
     unprimed thresholds C1/C2."""
-    return decide(cor1_setting(inv, p), ps.ell, ps)
+    return decide(cor1_setting(inv, p), ell, divides_disc, splits_in_K)
 
 
-def decide_cor2(inv: FieldInvariants, p: RepFamilyParams, ps: PrimeSituation) -> Verdict:
+def decide_cor2(inv: FieldInvariants, p: RepFamilyParams, ell: int, *,
+                divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
     """Emptiness for the residually-Borel uniform-weight family, via the
     primed thresholds C1'/C2'; requires ell non-split in K."""
-    return decide(cor2_setting(inv, p), ps.ell, ps)
+    return decide(cor2_setting(inv, p), ell, divides_disc, splits_in_K)
 
 
 def decide_trivial(inv: FieldInvariants, p: RepFamilyParams, ell: int) -> Verdict:
@@ -332,35 +315,27 @@ def decide_trivial(inv: FieldInvariants, p: RepFamilyParams, ell: int) -> Verdic
     q^{n*w/2} and must be a rational integer; when n and w are odd and K/Q
     is Galois of odd degree every residue degree is odd, so q^{n*w/2} is
     never an integer and the family is empty for every ell != ell0."""
-    return decide(trivial_setting(inv, p), ell, PrimeSituation.rational(ell))
+    return decide(trivial_setting(inv, p), ell)
 
 
-def decide_rt(
-    inv: FieldInvariants,
-    g: int,
-    ell: int,
-    ps: PrimeSituation,
-    variant: str = "st",
-    ell0: int | None = None,
-) -> Verdict:
+def decide_rt(inv: FieldInvariants, g: int, ell: int, variant: str = "st",
+              ell0: int | None = None, *, divides_disc: bool = False,
+              splits_in_K: bool = False) -> Verdict:
     """Emptiness of the semistable torsion-tower family of g-dimensional
     abelian varieties (thresholds in `rt_setting`)."""
-    return decide(rt_setting(inv, g, variant, ell0), ell, ps)
+    return decide(rt_setting(inv, g, variant, ell0), ell, divides_disc, splits_in_K)
 
 
-def decide_ec_irred(
-    inv: FieldInvariants, ell_E: int, ell: int, ps: PrimeSituation
-) -> Verdict:
+def decide_ec_irred(inv: FieldInvariants, ell_E: int, ell: int, *,
+                    divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
     """Irreducibility of the ell-torsion of a semistable elliptic curve with
     good reduction above ell_E.  Empty here reads "E[ell] is irreducible"."""
-    return decide(ec_irred_setting(inv, ell_E), ell, ps)
+    return decide(ec_irred_setting(inv, ell_E), ell, divides_disc, splits_in_K)
 
 
-def decide_etale(
-    inv: FieldInvariants, b_w: int, ell_X: int, w: int, ell: int, ps: PrimeSituation
-) -> Verdict:
+def decide_etale(inv: FieldInvariants, b_w: int, ell_X: int, w: int, ell: int, *,
+                 divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
     """Residual-Borel exclusion for odd-degree etale cohomology of Betti
     number b_w with good reduction above ell_X.  Empty here reads "the
     cohomology group is not residually Borel"."""
-    return decide(etale_setting(inv, b_w, ell_X, w), ell, ps)
-
+    return decide(etale_setting(inv, b_w, ell_X, w), ell, divides_disc, splits_in_K)

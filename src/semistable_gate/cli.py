@@ -29,7 +29,6 @@ from collections import namedtuple
 from . import __version__
 from .bounds import (
     FieldInvariants,
-    PrimeSituation,
     RepFamilyParams,
     Setting,
     Verdict,
@@ -88,8 +87,6 @@ def _build_parser(names) -> argparse.ArgumentParser:
         helptext, handler, *_ = COMMANDS[name]
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--input", help="JSON document path (default: stdin)")
-        p.add_argument("--json", action="store_true",
-                       help="accepted for compatibility; output is always JSON")
         p.add_argument("--ell", type=int, action="append",
                        help="override/add a prime ell to the query (repeatable)")
         if isinstance(handler, _Decision):
@@ -242,9 +239,9 @@ def _cmd_constants(inv, p, query, args) -> dict:
 class _Decision(namedtuple("_Decision", "settings several", defaults=(False,))):
     """Handler of a decision command: `settings(inv, p, query)` gives its
     settings, built once.  With `several`, each ell lists the verdict of
-    every setting, leaving out at ell0 those that refuse it (all but
-    Trivial, which has ell != ell0 as a hypothesis); otherwise the entry is
-    the one setting's verdict, and ell0 is outside the framework."""
+    every setting, leaving out those that refuse it (`Setting.refuses`);
+    otherwise the entry is the one setting's verdict, and a refused ell is
+    a precondition failure."""
 
     __slots__ = ()
 
@@ -253,13 +250,12 @@ class _Decision(namedtuple("_Decision", "settings several", defaults=(False,))):
         flags = (query.get("divides_disc", False), query.get("splits_in_K", False))
         body: dict = {"verdicts": []}
         for ell in query["ell"]:
-            ps = PrimeSituation.of(inv, ell, *flags)
-            verdicts = [_verdict_body(decide(s, ell, ps)) for s in settings
-                        if not self.several or ell != s.ell0 or s.theorem == "Trivial"]
+            verdicts = [_verdict_body(decide(s, ell, *flags)) for s in settings
+                        if not self.several or not s.refuses(ell)]
             entry = {"verdicts": verdicts} if self.several else verdicts[0]
             body["verdicts"].append({"ell": ell, **entry})
         if args.min_ell:
-            body["min_ell"] = least_empty_prime(settings, inv, *flags)
+            body["min_ell"] = least_empty_prime(settings, *flags)
         return body
 
 

@@ -125,18 +125,21 @@ def counterexample_search(
     if n < 2 or n % 2 != 0 or n > 4:
         raise ValueError("n must be 2 or 4")
     ell0 = prime_power_base(q)
-    polys = list(_weight_one_products(q, n))
-    cells = len(polys) * sum(  # t: multisets of size n from 0..s
-        math.comb(s + n, n) for s in range(1, s_max + 1))
+    # counted, not listed: the products are multisets of n/2 of the 2*isqrt(4q)+1
+    # quadratics, and the t count, sum(comb(s+n, n) for s in 1..s_max), is closed-form
+    m, k = 2 * math.isqrt(4 * q) + 1, n // 2
+    cells = math.comb(m + k - 1, k) * (math.comb(max(s_max, 0) + n + 1, n + 1) - 1)
     # refuse on a lower bound first: the sieve takes time and memory linear in ell_max
     if (least := cells * (prime_count_lower_bound(ell_max) - 1)) > budget:
         raise CorpusTooLarge(f"corpus size at least {brief(least)} exceeds budget {brief(budget)}")
     primes = [p for p in primes_up_to(ell_max) if p != ell0]
     if (corpus_size := cells * len(primes)) > budget:
         raise CorpusTooLarge(f"corpus size {brief(corpus_size)} exceeds budget {brief(budget)}")
+    if not corpus_size:
+        return []
 
     found: list[CongruenceInstance] = []
-    for poly, weights in polys:
+    for poly, weights in _weight_one_products(q, n):
         datum = WeilDatum(poly, q, weights, weight_budget=n)
         for s in range(1, s_max + 1):
             lhs = power_transform(poly, s)

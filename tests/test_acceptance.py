@@ -18,7 +18,6 @@ import pytest
 from semistable_gate import cli
 from semistable_gate.bounds import (
     FieldInvariants,
-    PrimeSituation,
     RepFamilyParams,
     decide_cor1,
     decide_cor2,
@@ -174,36 +173,34 @@ def test_criterion_7_one_directionality_fuzz():
     checked = 0
     for _ in range(100_000):
         d = rng.randint(1, 4)
-        inv = FieldInvariants(d, rng.choice([1, 5, 8, 49][d > 1:]), rng.randint(1, 4),
+        inv = FieldInvariants(d, rng.choice([1, 5, 8, 49, 1009][d > 1:]), rng.randint(1, 4),
                               galois_odd_degree=(d % 2 == 1 and rng.random() < 0.5))
         ell = rng.choice(primes)
-        ps = PrimeSituation(ell,
-                            divides_disc=d > 1 and rng.random() < 0.3,
-                            splits_in_K=d > 1 and rng.random() < 0.3)
+        flags = {"divides_disc": rng.random() < 0.3, "splits_in_K": rng.random() < 0.3}
         kind = rng.randrange(6)
         try:
             if kind == 0:
                 p = RepFamilyParams(rng.randint(1, 6), rng.choice([2, 3, 5]),
                                     rng.randint(0, 3), "bullet",
                                     w=rng.randint(0, 3), cyclotomic=True)
-                v = decide_cor1(inv, p, ps)
+                v = decide_cor1(inv, p, ell, **flags)
             elif kind == 1:
                 p = RepFamilyParams(rng.randint(1, 6), rng.choice([2, 3, 5]),
                                     rng.randint(0, 3), "bullet", w=rng.randint(0, 3))
-                v = decide_cor2(inv, p, ps)
+                v = decide_cor2(inv, p, ell, **flags)
             elif kind == 2:
                 p = RepFamilyParams(rng.randint(1, 6), rng.choice([2, 3, 5]),
                                     rng.randint(0, 3), "bullet", w=rng.randint(0, 3))
                 v = decide_trivial(inv, p, ell)
             elif kind == 3:
-                v = decide_rt(inv, rng.randint(1, 4), ell, ps,
+                v = decide_rt(inv, rng.randint(1, 4), ell,
                               rng.choice(["st", "st_with_ell0"]),
-                              ell0=rng.choice([2, 3, 5]))
+                              ell0=rng.choice([2, 3, 5]), **flags)
             elif kind == 4:
-                v = decide_ec_irred(inv, rng.choice([2, 3, 5]), ell, ps)
+                v = decide_ec_irred(inv, rng.choice([2, 3, 5]), ell, **flags)
             else:
                 v = decide_etale(inv, rng.randint(1, 4), rng.choice([2, 3, 5]),
-                                 rng.choice([1, 3]), ell, ps)
+                                 rng.choice([1, 3]), ell, **flags)
         except ValueError:
             continue  # ell == ell0 and similar precondition rejections
         checked += 1
@@ -211,6 +208,10 @@ def test_criterion_7_one_directionality_fuzz():
         if v.conclusion == "Empty":
             assert all(ok for _, ok in v.trace), v
             assert ell > v.threshold, v
+            # true in fact, not merely of the flags: over Q no prime divides
+            # the discriminant
+            if ("ell_not_dividing_disc", True) in v.trace:
+                assert inv.d == 1 or inv.disc % ell != 0 and not flags["divides_disc"], v
     assert checked > 50_000
     report(f"criterion 7: one-directionality holds on {checked} fuzzed inputs",
            started)

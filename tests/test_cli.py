@@ -337,7 +337,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 
 # every name the package exported when its __init__ imported all modules
 EXPORTS = """
-    DerivedConstants FieldInvariants PrimeSituation RepFamilyParams Setting Verdict
+    DerivedConstants FieldInvariants RepFamilyParams Setting Verdict
     central_binomial cor1_setting cor2_setting decide decide_cor1 decide_cor2
     decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
     ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting
@@ -471,6 +471,24 @@ def test_memory_error_exits_4_without_a_traceback():
     proc = _cli_process(doc, "gate-search", "--budget", str(10 ** 21), limit_bytes=2 * 10 ** 9)
     assert proc.returncode == 4 and proc.stdout == ""
     assert "MemoryError" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("q,s_max,ell_max,flags,code", [
+    (2 ** 100, 1, 19, ("--budget", "2000"), 3),  # 2^52+1 quadratics: refused on the count
+    (2 ** 100, 0, 19, (), 0),                    # no s: an empty corpus
+    (2 ** 60, 1, 2, (), 0),                      # no prime up to 2 but ell0 = 2
+    (2, 10 ** 18, 19, (), 3),                    # the t count is closed-form in s_max
+])
+def test_gate_search_counts_its_corpus_before_listing_it(capsys, q, s_max, ell_max, flags, code):
+    doc = {"query": {"q": q, "n": 2, "s_max": s_max, "ell_max": ell_max}}
+    started = time.perf_counter()
+    got, out, err = run_cli(capsys, "gate-search", doc, *flags)
+    assert time.perf_counter() - started < 1.0
+    assert got == code, err
+    if code == 0:
+        assert json.loads(out)["instances"] == []
+    else:
+        assert err.startswith("precondition failure: corpus size at least ")
 
 
 def test_deeply_nested_document_exits_2_without_a_traceback():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from semistable_gate import cli
 from semistable_gate.bounds import (
     FieldInvariants,
-    PrimeSituation,
     RepFamilyParams,
     cor1_setting,
     cor2_setting,
@@ -77,8 +76,7 @@ def reference_min_ell(command, doc):
     for ell in PRIMES:
         if ell == ell0:
             continue
-        ps = PrimeSituation.of(inv, ell, *flags)
-        if any(decide(s, ell, ps).conclusion == "Empty" for s in settings):
+        if any(decide(s, ell, *flags).conclusion == "Empty" for s in settings):
             return ell
     return None
 

@@ -9,7 +9,6 @@ import pytest
 
 from semistable_gate.bounds import (
     FieldInvariants,
-    PrimeSituation,
     RepFamilyParams,
     Setting,
     Verdict,
@@ -28,7 +27,6 @@ BULLET = RepFamilyParams(2, 2, 1, "bullet", w=1)
 # one record of each type, with the name of one of its fields
 RECORDS = [
     (Q_FIELD, "d"),
-    (PrimeSituation(7), "ell"),
     (BULLET, "w"),
     (derived_constants(Q_FIELD, BULLET), "C1"),
     (Verdict("NotDecided", "Cor2", None, 0, ()), "conclusion"),
@@ -54,12 +52,10 @@ def test_equality_and_hashing():
     assert WeilDatum(QUAD, 2, (1, 1), 2) == DATUM
     assert hash(WeilDatum(QUAD, 2, [1, 1], 2)) == hash(DATUM)
     assert CongruenceInstance(DATUM, 2, 2, (1, 1), 7) != CongruenceInstance(DATUM, 2, 2, (1, 1), 11)
-    assert len({PrimeSituation(7), PrimeSituation(7, False, False), PrimeSituation(7, True)}) == 2
 
 
 def test_keyword_and_default_construction():
     assert FieldInvariants(d=1, disc=1, h_plus=1) == FieldInvariants(1, 1, 1, False)
-    assert PrimeSituation(ell=7) == PrimeSituation(7, divides_disc=False, splits_in_K=False)
     p = RepFamilyParams(n=2, ell0=2, r=1, variant="circle", w_bar=3)
     assert (p.w, p.w_bar, p.cyclotomic, p.weight_budget) == (None, 3, False, 3)
     assert BULLET.weight_budget == 2
@@ -67,7 +63,7 @@ def test_keyword_and_default_construction():
     assert (inst.d, inst.r) == (1, 1)
     assert CongruenceInstance(DATUM, 1, 1, (0, 2), 7, r=2).r == 2
     assert GateVerdict(GateOutcome.NOT_CONGRUENT, 64, False).matched_weights is None
-    assert Setting("Ell", (16, 16), {}).ell0 is None
+    assert Setting("Ell", (16, 16), {})[3:] == (None, None)  # disc, ell0
     assert PowerSums(values=(2,), source_degree=1).source_degree == 1
     assert TameCharacterExponent(ell=5, level=2, exponent=7).modulus == 24
     assert WeilDatum(poly=QUAD, q=2, weights=(1, 1), weight_budget=2) == DATUM
