@@ -17,8 +17,7 @@ _EXPORTS = {
         trivial_setting""",
     "gate": """CongruenceInstance GateOutcome GateVerdict counterexample_search
         forced_equality symmetric_congruence""",
-    "intpoly": """IntPolynomial PowerSums from_power_sums from_prime_power_roots power_sums
-        power_transform""",
+    "intpoly": "IntPolynomial from_power_sums from_prime_power_roots power_sums power_transform",
     "tame": "TameCharacterExponent canonical_exponent digit_weights frobenius_orbit",
     "weil": "WeilDatum enumerate_weil_quadratics functional_equation_check validate_weights",
 }

@@ -42,7 +42,7 @@ from .bounds import (
     rt_setting,
     trivial_setting,
 )
-from .errors import InternalConsistencyError, PreconditionError, SchemaError, brief
+from .errors import DIGIT_LIMIT, InternalConsistencyError, PreconditionError, SchemaError, brief
 from .primes import is_prime, is_prime_power
 
 TOOL = "semistable-gate"
@@ -50,6 +50,7 @@ TOOL = "semistable-gate"
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    sys.set_int_max_str_digits(DIGIT_LIMIT)  # so no certificate depends on PYTHONINTMAXSTRDIGITS
     parser = _build_parser([argv[0]] if argv and argv[0] in COMMANDS else COMMANDS)
     args = parser.parse_args(argv)
     if args.command is None:
@@ -327,15 +328,9 @@ def _cmd_gate(inv, p, query, args) -> dict:
             "outcome": v.outcome.value,
             "bound": v.bound,
             "congruent": v.congruent,
-            "matched_weights": _render_matched(v.matched_weights),
+            "matched_weights": v.matched_weights,
         })
     return {"verdicts": verdicts}
-
-
-def _render_matched(matched) -> list | None:
-    if matched is None:
-        return None
-    return [x if isinstance(x, int) else _frac(x) for x in matched]
 
 
 def _cmd_gate_search(inv, p, query, args) -> dict:

@@ -4,6 +4,10 @@ Three families, mapped to CLI exit codes: schema errors (2), domain
 precondition failures (3), and internal consistency failures (4).
 """
 
+# Python's default int-to-str limit, which the CLI sets whatever the
+# environment says: a certificate prints no longer integer
+DIGIT_LIMIT = 4300
+
 
 class SchemaError(ValueError):
     """Malformed or unknown-key input document."""

@@ -14,7 +14,6 @@ import math
 from collections import namedtuple
 from collections.abc import Iterator
 from enum import Enum
-from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .bounds import lemma_bound, size_exponent
@@ -75,8 +74,9 @@ def forced_equality(inst: CongruenceInstance) -> GateVerdict:
     """Decide whether the mod-ell congruence forces exact equality.
 
     Congruent and ell above the bound means the two polynomials must agree
-    over the integers; a failure of that check is a LemmaViolation (possible
-    only for an invalid datum or an implementation bug).
+    over the integers, and then the matched weights s*w_k/2 are the sorted
+    t; a failure of either check is a LemmaViolation (possible only for an
+    invalid datum or an implementation bug).
     """
     if not inst.datum.validate():
         raise ValueError("datum fails the root absolute-value check")
@@ -91,10 +91,12 @@ def forced_equality(inst: CongruenceInstance) -> GateVerdict:
     if lhs != rhs:
         raise LemmaViolation(
             f"congruent mod {inst.ell} above bound {bound} but not equal: "
-            f"{lhs} vs {rhs}")
-    halves = sorted(Fraction(inst.s * w, 2) for w in inst.datum.weights)
-    matched = tuple(int(x) if x.denominator == 1 else x for x in halves)
-    return GateVerdict(GateOutcome.FORCED_EQUAL, bound, True, matched)
+            f"{list(lhs.coeffs)} vs {list(rhs.coeffs)}")
+    # |alpha_k|^(2s) = q^(s*w_k) and |q^(t_k)|^2 = q^(2*t_k): both sorted, they agree
+    if [inst.s * w for w in inst.datum.weights] != [2 * tk for tk in inst.t]:
+        raise LemmaViolation(f"equal above bound {bound}, yet s*w = {inst.s} * "
+                             f"{list(inst.datum.weights)} is not 2*t = 2 * {list(inst.t)}")
+    return GateVerdict(GateOutcome.FORCED_EQUAL, bound, True, inst.t)
 
 
 def _weight_one_products(q: int, n: int) -> Iterator[tuple[IntPolynomial, tuple[int, ...]]]:
@@ -155,7 +157,7 @@ def counterexample_search(
                         if ell > inst.bound:
                             raise LemmaViolation(
                                 f"sub-bound guarantee violated: ell={ell} > {inst.bound} "
-                                f"for {poly}, s={s}, t={t}")
+                                f"for {list(poly.coeffs)}, s={s}, t={t}")
                         found.append(inst)
     found.sort(key=lambda i: (i.datum.poly.coeffs, i.s, i.t, i.ell))
     return found

@@ -1,11 +1,11 @@
 """Exact monic integer polynomial arithmetic.
 
-Supports Newton power sums in both directions, the roots-to-s-th-powers
-transform, gcds and Sturm real-root counts.  All coefficient arithmetic uses
-Python ints, so nothing here can overflow.  Coefficients are stored lowest
-degree first: ``coeffs[i]`` is the coefficient of T^i.  `IntPolynomial` and
-`PowerSums` are named tuples (immutable, hashable, equal by value) that check
-and coerce their fields to int when built.
+Newton's identities in both directions, the roots-to-s-th-powers transform,
+synthetic division by T - x, gcds and Sturm real-root counts.  All
+coefficient arithmetic uses Python ints, so nothing here can overflow.
+Coefficients are stored lowest degree first: ``coeffs[i]`` is the
+coefficient of T^i.  `IntPolynomial` is a named tuple (immutable, hashable,
+equal by value) that checks and coerces its coefficients to int when built.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
+from operator import mul
 
 from .errors import NonIntegralSymmetricFunction
 
@@ -34,47 +35,6 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def elementary_symmetric(self) -> list[int]:
-        """e_0, e_1, ..., e_n of the roots: e_m = (-1)^m * coeffs[n-m]."""
-        n = self.degree
-        return [(-1) ** m * self.coeffs[n - m] for m in range(n + 1)]
-
-    def __str__(self) -> str:
-        terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeffs[i]
-            if c == 0 and i != 0:
-                continue
-            if i == 0:
-                terms.append(f"{c:+d}" if terms else f"{c}")
-            elif i == 1:
-                terms.append(f"{c:+d}*T" if terms else f"{c}*T")
-            else:
-                terms.append(f"{c:+d}*T^{i}" if terms else f"{c}*T^{i}")
-        return " ".join(terms) if terms else "0"
-
-
-class PowerSums(namedtuple("PowerSums", "values source_degree")):
-    """p_1, ..., p_m of the roots of a monic degree-n integer polynomial."""
-
-    __slots__ = ()
-
-    def __new__(cls, values: Iterable[int], source_degree: int):
-        return super().__new__(cls, tuple(int(v) for v in values), source_degree)
-
-
-def monic_from_elementary(e: Sequence[int]) -> IntPolynomial:
-    """Build the monic polynomial with elementary symmetric functions e_1..e_n."""
-    n = len(e) - 1  # e[0] == 1
-    coeffs = [(-1) ** m * e[m] for m in range(n, -1, -1)]
-    return IntPolynomial(tuple(coeffs))
-
 
 def poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
     """Exact product of two monic polynomials."""
@@ -85,6 +45,16 @@ def poly_mul(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
         for j, b in enumerate(g.coeffs):
             out[i + j] += a * b
     return IntPolynomial(tuple(out))
+
+
+def synthetic_division(a: Sequence[int], x: int) -> tuple[list[int], int]:
+    """The quotient of a by T - x, lowest degree first, and the value a(x)
+    (Horner's rule)."""
+    quotient, acc = [], 0
+    for c in reversed(a):
+        quotient.append(acc)
+        acc = acc * x + c
+    return quotient[:0:-1], acc
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -126,72 +96,56 @@ def real_root_count(p: Sequence[int], lo: int, hi: int) -> int:
     while len(p) > 1:
         seq = _remainder_sequence(p, [i * c for i, c in enumerate(p)][1:])
         for x, sign in ((lo, 1), (hi, -1)):
-            signs = [v > 0 for v in (sum(c * x ** i for i, c in enumerate(r)) for r in seq) if v]
+            signs = [v > 0 for v in (synthetic_division(r, x)[1] for r in seq) if v]
             count += sign * sum(a != b for a, b in zip(signs, signs[1:]))
         p = seq[-1]
     return count
 
 
-def power_sums(f: IntPolynomial, m: int) -> PowerSums:
-    """First m power sums p_j = sum of j-th powers of the roots of f.
-
-    Newton's identities over exact integers; every p_j is an integer
-    because the e_i are.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    n = f.degree
-    e = f.elementary_symmetric()
+def power_sums(f: IntPolynomial, m: int) -> tuple[int, ...]:
+    """p_1, ..., p_m, the sums of the j-th powers of f's roots, by Newton's
+    identities on f's coefficients a_i:
+    p_j + a_{n-1} p_{j-1} + ... + a_{n-j+1} p_1 + j a_{n-j} = 0,
+    with a_{n-j} = 0 past j = n."""
+    a = f.coeffs[-2::-1]  # a_{n-1}, ..., a_0
     p: list[int] = []
     for j in range(1, m + 1):
-        # p_j = sum_{i=1}^{min(j,n)} (-1)^{i-1} e_i p_{j-i}, with p_0 := j for the i=j term
-        acc = 0
-        for i in range(1, min(j, n) + 1):
-            prev = j if i == j else p[j - i - 1]
-            acc += (-1) ** (i - 1) * e[i] * prev
-        p.append(acc)
-    return PowerSums(tuple(p), n)
+        acc = sum(map(mul, a, reversed(p)))
+        if j <= len(a):
+            acc += j * a[j - 1]
+        p.append(-acc)
+    return tuple(p)
 
 
-def from_power_sums(p: PowerSums | Iterable[int], n: int) -> IntPolynomial:
-    """Unique monic degree-n polynomial whose roots have the given power sums.
-
-    Inverts Newton's identities, m*e_m = sum_{i=1}^m (-1)^{i-1} e_{m-i} p_i,
-    with exact division by m.  Raises NonIntegralSymmetricFunction when a
-    division is not exact.
-    """
-    values = p.values if isinstance(p, PowerSums) else tuple(int(v) for v in p)
-    if len(values) < n:
-        raise ValueError(f"need at least {n} power sums, got {len(values)}")
-    e = [1]
-    for m in range(1, n + 1):
-        acc = 0
-        for i in range(1, m + 1):
-            acc += (-1) ** (i - 1) * e[m - i] * values[i - 1]
-        q, rem = divmod(acc, m)
+def from_power_sums(p: Sequence[int], n: int) -> IntPolynomial:
+    """Unique monic degree-n polynomial whose roots have the power sums
+    p_1, p_2, ...: Newton's identities solved for a_{n-1}, ..., a_0 in turn,
+    each by an exact division by j.  Raises NonIntegralSymmetricFunction
+    when a division is not exact."""
+    if len(p) < n:
+        raise ValueError(f"need at least {n} power sums, got {len(p)}")
+    a: list[int] = []  # a_{n-1}, ..., a_{n-j+1}
+    for j in range(1, n + 1):
+        num = -p[j - 1] - sum(map(mul, a, reversed(p[:j - 1])))
+        c, rem = divmod(num, j)
         if rem:
             raise NonIntegralSymmetricFunction(
-                f"e_{m} = {acc}/{m} is not an integer")
-        e.append(q)
-    return monic_from_elementary(e)
+                f"a_{n - j} = {num}/{j} is not an integer")
+        a.append(c)
+    return IntPolynomial(a[::-1] + [1])
 
 
 def power_transform(f: IntPolynomial, s: int) -> IntPolynomial:
-    """Monic integer polynomial whose roots are the s-th powers of f's roots.
-
-    Extracts p_s, p_2s, ..., p_ns from power_sums(f, n*s) and rebuilds via
-    from_power_sums.  s = 0 sends every root to 1, giving (T-1)^n.
-    """
+    """Monic integer polynomial whose roots are the s-th powers of f's roots:
+    from p_s, p_2s, ..., p_ns.  s = 0 sends every root to 1, giving (T-1)^n."""
     if s < 0:
         raise ValueError("s must be non-negative")
     n = f.degree
     if s == 0:
-        return monic_from_elementary([math.comb(n, m) for m in range(n + 1)])
+        return IntPolynomial((-1) ** (n - i) * math.comb(n, i) for i in range(n + 1))
     if s == 1:
         return f
-    all_sums = power_sums(f, n * s).values
-    selected = [all_sums[j * s - 1] for j in range(1, n + 1)]
-    return from_power_sums(selected, n)
+    return from_power_sums(power_sums(f, n * s)[s - 1::s], n)
 
 
 def from_prime_power_roots(q: int, t: Iterable[int]) -> IntPolynomial:

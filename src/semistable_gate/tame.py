@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .errors import PreconditionError, brief
+from .errors import DIGIT_LIMIT, PreconditionError, brief
 from .primes import is_prime
-
-# Python's default int-to-str limit: a certificate prints no longer integer
-DIGIT_LIMIT = 4300
 
 
 class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level exponent")):

@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 
 from .errors import RootFindingFailure, brief
-from .intpoly import IntPolynomial, power_transform, poly_gcd, real_root_count
+from .intpoly import IntPolynomial, poly_gcd, power_transform, real_root_count, synthetic_division
 
 DEGREE_CAP = 64
 
@@ -72,9 +72,11 @@ def _circle_count(F: tuple[int, ...], radius: int) -> int:
 def _strip_roots(a: list[int], x: int) -> tuple[list[int], int]:
     """a with its roots x = +-1 divided out, and their number."""
     count = 0
-    while a and not sum(c * x ** i for i, c in enumerate(a)):
-        a = [sum(a[j] * x ** (j - i - 1) for j in range(i + 1, len(a))) for i in range(len(a) - 1)]
-        count += 1
+    while a:
+        quotient, value = synthetic_division(a, x)
+        if value:
+            break
+        a, count = quotient, count + 1
     return a, count
 
 

@@ -344,8 +344,7 @@ EXPORTS = """
     trivial_setting
     CongruenceInstance GateOutcome GateVerdict counterexample_search forced_equality
     symmetric_congruence
-    IntPolynomial PowerSums from_power_sums from_prime_power_roots power_sums
-    power_transform
+    IntPolynomial from_power_sums from_prime_power_roots power_sums power_transform
     TameCharacterExponent canonical_exponent digit_weights frobenius_orbit
     WeilDatum enumerate_weil_quadratics functional_equation_check validate_weights
 """.split()
@@ -539,6 +538,77 @@ def test_tame_weights_refuses_a_level_past_the_digit_limit_at_once(capsys, h):
     assert code == 3 and out == ""
     assert err == (f"precondition failure: level {h} is too large: the orbit of a nonzero "
                    "exponent holds an integer of more than 4300 digits\n")
+
+
+def test_a_degree_zero_polynomial_has_no_roots(capsys):
+    for s in (0, 1, 2, 5):
+        code, out, _ = run_cli(capsys, "power-transform", {"query": {"poly": [1], "s": s}})
+        assert code == 0 and json.loads(out)["result"] == [1]
+    code, out, _ = run_cli(capsys, "weil-check", {"query": {"poly": [1], "q": 2, "weights": []}})
+    assert code == 0 and json.loads(out)["weights_valid"] is True
+    doc = {"query": {"poly": [1], "q": 2, "weights": [], "s": 1, "u": 1, "t": [], "ell": 7}}
+    assert run_cli(capsys, "gate", doc) == (3, "", "precondition failure: n must be positive\n")
+
+
+def test_forced_equal_certificate(capsys):
+    # alpha = +-i*sqrt(2): alpha^4 = 4 = 2^2 twice, so s*w = 4 = 2*t for both roots
+    doc = {"query": {"poly": [2, 0, 1], "q": 2, "weights": [1, 1], "s": 4, "u": 4,
+                     "t": [2, 2], "ell": 1000003}}
+    code, out, _ = run_cli(capsys, "gate", doc)
+    assert code == 0
+    assert json.loads(out)["verdicts"] == [{"ell": 1000003, "outcome": "ForcedEqual", "bound": 1024,
+                                            "congruent": True, "matched_weights": [2, 2]}]
+
+
+# C2' has past 6000 digits (exit 3); the orbit at h = 3000 prints 1.39 MB (exit 0)
+DIGIT_LIMIT_DOCS = [
+    ("constants", {"field": {"d": 10, "disc": 5, "h_plus": 10},
+                   "params": {"n": 10, "ell0": 2, "r": 2, "variant": "bullet", "w": 1}}, 3),
+    ("tame-weights", {"query": {"ell": 2, "h": 3000, "n_f": 1}}, 0),
+]
+
+
+@pytest.mark.parametrize("command,doc,code", DIGIT_LIMIT_DOCS, ids=["constants", "tame-weights"])
+def test_the_digit_limit_does_not_follow_the_environment(command, doc, code):
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    outcomes = set()
+    for limit in (None, "0", "640"):
+        extra = {"PYTHONPATH": str(src)} if limit is None else {
+            "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": limit}
+        proc = subprocess.run([sys.executable, "-m", "semistable_gate.cli", command],
+                              input=json.dumps(doc), capture_output=True, text=True,
+                              timeout=60, env={**env, **extra})
+        outcomes.add((proc.returncode, proc.stdout))
+    assert len(outcomes) == 1 and next(iter(outcomes))[0] == code
+
+
+def test_input_file_gives_the_stdin_certificate(capsys, tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(EC_DOC))
+    from_file = run_cli(capsys, "ec-irred", "", "--input", str(path))
+    assert from_file == run_cli(capsys, "ec-irred", EC_DOC) and from_file[0] == 0
+
+
+def test_missing_input_file_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "ec-irred", "", "--input", str(tmp_path / "absent.json"))
+    assert code == 2 and out == "" and err.startswith("schema error: cannot read input: ")
+
+
+RT_FIELD = {"d": 1, "disc": 1, "h_plus": 1}
+
+
+@pytest.mark.parametrize("command,raw,code,message", [
+    ("ec-irred", "[1]", 2, "schema error: document root must be a JSON object"),
+    ("rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "x", "ell": 17}}, 2,
+     "schema error: query.variant must be 'st' or 'st_with_ell0', got 'x'"),
+    ("rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "st_with_ell0", "ell": 17}}, 2,
+     "schema error: query.ell0 is required for variant 'st_with_ell0'"),
+    ("gate", {"query": dict(GATE, poly=[2, 5, 1])}, 3,
+     "precondition failure: datum fails the root absolute-value check"),
+], ids=["non-object-root", "rt-variant", "rt-missing-ell0", "gate-invalid-datum"])
+def test_refused_documents_name_their_fault(capsys, command, raw, code, message):
+    assert run_cli(capsys, command, raw) == (code, "", message + "\n")
 
 
 # Documents drawn from every command's schema, with small values, then

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semistable_gate.errors import CorpusTooLarge
+from semistable_gate.errors import CorpusTooLarge, LemmaViolation
 from semistable_gate.gate import (
     CongruenceInstance,
     GateOutcome,
@@ -70,6 +70,15 @@ def test_forced_equality_exact():
     assert v.outcome is GateOutcome.FORCED_EQUAL
     assert v.matched_weights == (1, 2)
     assert sum(v.matched_weights) * 2 == 1 * sum(datum.weights)
+
+
+def test_forced_equality_with_unmatched_weights_is_a_lemma_violation(monkeypatch):
+    # roots +-2 have weight 2 at q = 2, and (T-4)^2 matches t = (2, 2) exactly;
+    # weights (1, 3), let through the validation, give s*w = (2, 6) != 2*t
+    monkeypatch.setattr(WeilDatum, "validate", lambda self: True)
+    datum = WeilDatum(IntPolynomial((-4, 0, 1)), 2, (1, 3), 4)
+    with pytest.raises(LemmaViolation, match=r"s\*w = 2 \* \[1, 3\] is not 2\*t = 2 \* \[2, 2\]"):
+        forced_equality(CongruenceInstance(datum, 2, 2, (2, 2), 67))
 
 
 def test_forced_equality_not_congruent():

@@ -14,6 +14,7 @@ from semistable_gate.intpoly import (
     power_sums,
     power_transform,
     real_root_count,
+    synthetic_division,
 )
 
 
@@ -40,7 +41,7 @@ def test_non_monic_rejected():
 
 
 def test_power_sums_single_root():
-    assert power_sums(IntPolynomial((-2, 1)), 3).values == (2, 4, 8)
+    assert power_sums(IntPolynomial((-2, 1)), 3) == (2, 4, 8)
 
 
 def test_power_sums_complex_pair():
@@ -49,11 +50,11 @@ def test_power_sums_complex_pair():
     roots = np.roots([1, 1, 2])
     expected = tuple(round((roots[0] ** j + roots[1] ** j).real) for j in range(1, 5))
     assert expected == (-1, -3, 5, 1)
-    assert power_sums(f, 4).values == (-1, -3, 5, 1)
+    assert power_sums(f, 4) == (-1, -3, 5, 1)
 
 
 def test_power_sums_double_root():
-    assert power_sums(IntPolynomial((1, -2, 1)), 2).values == (2, 2)
+    assert power_sums(IntPolynomial((1, -2, 1)), 2) == (2, 2)
 
 
 def test_from_power_sums_examples():
@@ -118,10 +119,13 @@ def test_poly_mul():
     assert poly_mul(f, g).coeffs == (8, -6, 1)
 
 
-def test_evaluation_and_str():
-    f = IntPolynomial((2, 1, 1))
-    assert f(0) == 2 and f(1) == 4 and f(-2) == 4
-    assert "T^2" in str(f)
+def test_synthetic_division():
+    f = (2, 1, 1)  # T^2 + T + 2 = (T - x)(T + x + 1) + f(x)
+    assert synthetic_division(f, 0) == ([1, 1], 2)
+    assert synthetic_division(f, 1) == ([2, 1], 4)
+    assert synthetic_division(f, -2) == ([-1, 1], 4)
+    assert synthetic_division((5,), 3) == ([], 5)
+    assert synthetic_division((), 3) == ([], 0)
 
 
 def test_poly_gcd_examples():

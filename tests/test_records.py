@@ -15,7 +15,7 @@ from semistable_gate.bounds import (
     derived_constants,
 )
 from semistable_gate.gate import CongruenceInstance, GateOutcome, GateVerdict
-from semistable_gate.intpoly import IntPolynomial, PowerSums
+from semistable_gate.intpoly import IntPolynomial
 from semistable_gate.tame import TameCharacterExponent
 from semistable_gate.weil import WeilDatum
 
@@ -32,7 +32,6 @@ RECORDS = [
     (Verdict("NotDecided", "Cor2", None, 0, ()), "conclusion"),
     (Setting("Ell", (16, 16), {"degree_odd": True}), "thresholds"),
     (QUAD, "coeffs"),
-    (PowerSums((-1, -3), 2), "values"),
     (CongruenceInstance(DATUM, 2, 2, (1, 1), 7), "t"),
     (GateVerdict(GateOutcome.NOT_CONGRUENT, 64, False), "bound"),
     (DATUM, "weights"),
@@ -64,7 +63,6 @@ def test_keyword_and_default_construction():
     assert CongruenceInstance(DATUM, 1, 1, (0, 2), 7, r=2).r == 2
     assert GateVerdict(GateOutcome.NOT_CONGRUENT, 64, False).matched_weights is None
     assert Setting("Ell", (16, 16), {})[3:] == (None, None)  # disc, ell0
-    assert PowerSums(values=(2,), source_degree=1).source_degree == 1
     assert TameCharacterExponent(ell=5, level=2, exponent=7).modulus == 24
     assert WeilDatum(poly=QUAD, q=2, weights=(1, 1), weight_budget=2) == DATUM
 
@@ -109,5 +107,3 @@ def test_normalisation():
     poly = IntPolynomial([Fraction(4, 2), True, Fraction(1)])
     assert poly.coeffs == (2, 1, 1) and all(type(c) is int for c in poly.coeffs)
     assert poly == QUAD
-    sums = PowerSums([Fraction(-1), False], 2)
-    assert sums.values == (-1, 0) and all(type(v) is int for v in sums.values)
