@@ -15,8 +15,7 @@ _EXPORTS = {
         decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
         ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting
         trivial_setting""",
-    "gate": """CongruenceInstance GateOutcome GateVerdict counterexample_search
-        forced_equality symmetric_congruence""",
+    "gate": "CongruenceInstance GateVerdict counterexample_search forced_equality",
     "intpoly": "IntPolynomial from_power_sums from_prime_power_roots power_sums power_transform",
     "tame": "TameCharacterExponent canonical_exponent digit_weights frobenius_orbit",
     "weil": "WeilDatum enumerate_weil_quadratics functional_equation_check validate_weights",

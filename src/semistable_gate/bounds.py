@@ -21,7 +21,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import EllEqualsEll0, WEven, brief
+from .errors import PreconditionError, brief
 from .primes import next_prime
 
 
@@ -226,7 +226,7 @@ def etale_setting(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> Setting
     """Residual-Borel exclusion for odd-degree etale cohomology of Betti
     number b_w and odd weight w with good reduction above ell_X."""
     if w % 2 == 0:
-        raise WEven(f"w must be odd, got {brief(w)}")
+        raise PreconditionError(f"w must be odd, got {brief(w)}")
     if b_w < 1:
         raise ValueError("b_w must be positive")
     return Setting("Et", _a_b(b_w, ell_X, inv.d, b_w * w, inv.h_plus), *_facts(inv))
@@ -258,7 +258,7 @@ def decide(s: Setting, ell: int, divides_disc: bool = False, splits_in_K: bool =
     and hypotheses all hold certifies Empty, with only its own hypotheses in
     the trace; otherwise NotDecided with the trace of everything evaluated."""
     if s.refuses(ell):
-        raise EllEqualsEll0(f"ell = ell0 = {ell} is outside the framework")
+        raise PreconditionError(f"ell = ell0 = {ell} is outside the framework")
     trace = []
     for label, gate, hyps, threshold in _situations(s, ell, divides_disc, splits_in_K):
         if all(ok for _, ok in gate + hyps):

@@ -4,15 +4,16 @@ Input is a strict-schema JSON document (unknown keys rejected) read from
 --input or standard input; the certificate goes to standard output as
 canonical JSON: sorted keys, no floats (rationals render as "p/q"), no
 timestamps.  Exit codes: 0 success (NotDecided included), 2 schema error,
-3 domain precondition failure, 4 internal consistency failure or an
-exhausted resource (memory, recursion depth).
+3 domain precondition failure, 4 internal consistency failure, an
+exhausted resource (memory, recursion depth) or a closed standard output.
 
 `COMMANDS` is each command's whole input contract: per section (field,
 params, query), the record built from it and each key's schema type: int,
 bool, str, "int_list" (an integer or a list of integers), "prime",
 "prime_list" (an integer or a list, each entry prime) or "prime_power".
 Every type is checked before the prime tests, and a record's ValueError is
-a schema error, so a document with two faults may report either.
+a schema error, as is that of a library check on the query itself (one
+weight per root, s >= 0), so a document with two faults may report either.
 
 A process pays only for its command: `main` builds only the subparser of
 the command argv names (all ten for help, no command or an unknown one),
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -65,13 +67,21 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 4
-    except (PreconditionError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return 3
     except (MemoryError, RecursionError) as exc:
         print(f"resource exhausted: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
         return 4
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader is gone: send the flush at shutdown to nowhere, not a traceback
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("output failure: standard output is closed", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -291,13 +301,8 @@ def _cmd_tame_weights(inv, p, query, args) -> dict:
 
 def _cmd_weil_check(inv, p, query, args) -> dict:
     from .weil import functional_equation_check, validate_weights
-    poly = _poly(query["poly"])
-    weights = query["weights"]
-    if len(weights) != poly.degree:
-        raise SchemaError("weights must have one entry per root")
-    body: dict = {
-        "weights_valid": validate_weights(poly, query["q"], weights),
-    }
+    poly, weights = _poly(query["poly"]), query["weights"]
+    body: dict = {"weights_valid": _record(validate_weights, poly, query["q"], weights)}
     uniform = len(set(weights)) <= 1
     if uniform and weights:
         body["functional_equation"] = functional_equation_check(
@@ -307,9 +312,7 @@ def _cmd_weil_check(inv, p, query, args) -> dict:
 
 def _cmd_power_transform(inv, p, query, args) -> dict:
     from .intpoly import power_transform
-    if query["s"] < 0:
-        raise SchemaError("query.s must be non-negative")
-    out = power_transform(_poly(query["poly"]), query["s"])
+    out = _record(power_transform, _poly(query["poly"]), query["s"])
     return {"result": list(out.coeffs)}
 
 
@@ -325,7 +328,7 @@ def _cmd_gate(inv, p, query, args) -> dict:
         v = forced_equality(inst)
         verdicts.append({
             "ell": ell,
-            "outcome": v.outcome.value,
+            "outcome": v.outcome,
             "bound": v.bound,
             "congruent": v.congruent,
             "matched_weights": v.matched_weights,

@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from collections.abc import Iterator
-from enum import Enum
 from itertools import combinations_with_replacement
 
 from .bounds import lemma_bound, size_exponent
-from .errors import CorpusTooLarge, LemmaViolation, brief
+from .errors import InternalConsistencyError, PreconditionError, brief
 from .intpoly import IntPolynomial, from_prime_power_roots, poly_mul, power_transform
 from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
@@ -39,74 +38,62 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r")
             raise ValueError(f"every t_k must lie in [0, r*u] = [0, {brief(r * u)}]")
         if datum.q % ell == 0:
             raise ValueError("ell must not divide q")
+        if datum.poly.degree == 0:
+            raise ValueError("poly must have degree at least 1")
         return super().__new__(cls, datum, s, u, t, ell, d, r)
-
-    @property
-    def ell0(self) -> int:
-        return prime_power_base(self.datum.q)
 
     @property
     def bound(self) -> int:
         n = self.datum.poly.degree
         M = size_exponent(n, self.r, self.datum.weight_budget)
-        return lemma_bound(n, self.ell0, self.d, M, self.u)
+        return lemma_bound(n, prime_power_base(self.datum.q), self.d, M, self.u)
 
 
-class GateOutcome(Enum):
-    FORCED_EQUAL = "ForcedEqual"
-    CONGRUENT_BELOW_BOUND = "CongruentBelowBound"
-    NOT_CONGRUENT = "NotCongruent"
-
-
+# outcome is "ForcedEqual", "CongruentBelowBound" or "NotCongruent";
+# matched_weights is the sorted t when ForcedEqual, else None.
 GateVerdict = namedtuple("GateVerdict", "outcome bound congruent matched_weights",
                          defaults=(None,))
-
-
-def symmetric_congruence(inst: CongruenceInstance) -> bool:
-    """True iff the s-th-power transform of the characteristic polynomial is
-    congruent, coefficient by coefficient mod ell, to prod (T - q^{t_k})."""
-    lhs = power_transform(inst.datum.poly, inst.s)
-    rhs = from_prime_power_roots(inst.datum.q, inst.t)
-    return all((a - b) % inst.ell == 0 for a, b in zip(lhs.coeffs, rhs.coeffs))
 
 
 def forced_equality(inst: CongruenceInstance) -> GateVerdict:
     """Decide whether the mod-ell congruence forces exact equality.
 
-    Congruent and ell above the bound means the two polynomials must agree
-    over the integers, and then the matched weights s*w_k/2 are the sorted
-    t; a failure of either check is a LemmaViolation (possible only for an
+    The s-th-power transform of the characteristic polynomial is compared,
+    coefficient by coefficient mod ell, with prod (T - q^{t_k}).  Congruent
+    and ell above the bound means the two must agree over the integers,
+    and then the matched weights s*w_k/2 are the sorted t; a failure of
+    either check is an InternalConsistencyError (possible only for an
     invalid datum or an implementation bug).
     """
     if not inst.datum.validate():
         raise ValueError("datum fails the root absolute-value check")
     bound = inst.bound
-    congruent = symmetric_congruence(inst)
-    if not congruent:
-        return GateVerdict(GateOutcome.NOT_CONGRUENT, bound, False)
-    if inst.ell <= bound:
-        return GateVerdict(GateOutcome.CONGRUENT_BELOW_BOUND, bound, True)
     lhs = power_transform(inst.datum.poly, inst.s)
     rhs = from_prime_power_roots(inst.datum.q, inst.t)
+    if any((a - b) % inst.ell for a, b in zip(lhs.coeffs, rhs.coeffs)):
+        return GateVerdict("NotCongruent", bound, False)
+    if inst.ell <= bound:
+        return GateVerdict("CongruentBelowBound", bound, True)
     if lhs != rhs:
-        raise LemmaViolation(
+        raise InternalConsistencyError(
             f"congruent mod {inst.ell} above bound {bound} but not equal: "
             f"{list(lhs.coeffs)} vs {list(rhs.coeffs)}")
     # |alpha_k|^(2s) = q^(s*w_k) and |q^(t_k)|^2 = q^(2*t_k): both sorted, they agree
     if [inst.s * w for w in inst.datum.weights] != [2 * tk for tk in inst.t]:
-        raise LemmaViolation(f"equal above bound {bound}, yet s*w = {inst.s} * "
-                             f"{list(inst.datum.weights)} is not 2*t = 2 * {list(inst.t)}")
-    return GateVerdict(GateOutcome.FORCED_EQUAL, bound, True, inst.t)
+        raise InternalConsistencyError(
+            f"equal above bound {bound}, yet s*w = {inst.s} * {list(inst.datum.weights)} "
+            f"is not 2*t = 2 * {list(inst.t)}")
+    return GateVerdict("ForcedEqual", bound, True, inst.t)
 
 
-def _weight_one_products(q: int, n: int) -> Iterator[tuple[IntPolynomial, tuple[int, ...]]]:
+def _weight_one_products(q: int, n: int) -> Iterator[IntPolynomial]:
     """Monic degree-n products of weight-1 Weil quadratics at q."""
     quadratics = enumerate_weil_quadratics(q, 1)
     for combo in combinations_with_replacement(quadratics, n // 2):
         poly = combo[0]
         for g in combo[1:]:
             poly = poly_mul(poly, g)
-        yield poly, (1,) * n
+        yield poly
 
 
 def counterexample_search(
@@ -133,16 +120,17 @@ def counterexample_search(
     cells = math.comb(m + k - 1, k) * (math.comb(max(s_max, 0) + n + 1, n + 1) - 1)
     # refuse on a lower bound first: the sieve takes time and memory linear in ell_max
     if (least := cells * (prime_count_lower_bound(ell_max) - 1)) > budget:
-        raise CorpusTooLarge(f"corpus size at least {brief(least)} exceeds budget {brief(budget)}")
+        raise PreconditionError(
+            f"corpus size at least {brief(least)} exceeds budget {brief(budget)}")
     primes = [p for p in primes_up_to(ell_max) if p != ell0]
     if (corpus_size := cells * len(primes)) > budget:
-        raise CorpusTooLarge(f"corpus size {brief(corpus_size)} exceeds budget {brief(budget)}")
+        raise PreconditionError(f"corpus size {brief(corpus_size)} exceeds budget {brief(budget)}")
     if not corpus_size:
         return []
 
     found: list[CongruenceInstance] = []
-    for poly, weights in _weight_one_products(q, n):
-        datum = WeilDatum(poly, q, weights, weight_budget=n)
+    for poly in _weight_one_products(q, n):
+        datum = WeilDatum(poly, q, (1,) * n, weight_budget=n)
         for s in range(1, s_max + 1):
             lhs = power_transform(poly, s)
             for t in combinations_with_replacement(range(s + 1), n):
@@ -155,7 +143,7 @@ def counterexample_search(
                     if all((a - b) % ell == 0 for a, b in zip(lc, rc)):
                         inst = CongruenceInstance(datum, s, s, t, ell)
                         if ell > inst.bound:
-                            raise LemmaViolation(
+                            raise InternalConsistencyError(
                                 f"sub-bound guarantee violated: ell={ell} > {inst.bound} "
                                 f"for {list(poly.coeffs)}, s={s}, t={t}")
                         found.append(inst)

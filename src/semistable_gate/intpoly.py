@@ -15,7 +15,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from .errors import NonIntegralSymmetricFunction
+from .errors import InternalConsistencyError
 
 
 class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
@@ -120,8 +120,8 @@ def power_sums(f: IntPolynomial, m: int) -> tuple[int, ...]:
 def from_power_sums(p: Sequence[int], n: int) -> IntPolynomial:
     """Unique monic degree-n polynomial whose roots have the power sums
     p_1, p_2, ...: Newton's identities solved for a_{n-1}, ..., a_0 in turn,
-    each by an exact division by j.  Raises NonIntegralSymmetricFunction
-    when a division is not exact."""
+    each by an exact division by j.  A division that is not exact raises
+    InternalConsistencyError: no algebraic integers have such power sums."""
     if len(p) < n:
         raise ValueError(f"need at least {n} power sums, got {len(p)}")
     a: list[int] = []  # a_{n-1}, ..., a_{n-j+1}
@@ -129,8 +129,7 @@ def from_power_sums(p: Sequence[int], n: int) -> IntPolynomial:
         num = -p[j - 1] - sum(map(mul, a, reversed(p[:j - 1])))
         c, rem = divmod(num, j)
         if rem:
-            raise NonIntegralSymmetricFunction(
-                f"a_{n - j} = {num}/{j} is not an integer")
+            raise InternalConsistencyError(f"a_{n - j} = {num}/{j} is not an integer")
         a.append(c)
     return IntPolynomial(a[::-1] + [1])
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import RootFindingFailure, brief
+from .errors import PreconditionError, brief
 from .intpoly import IntPolynomial, poly_gcd, power_transform, real_root_count, synthetic_division
 
 DEGREE_CAP = 64
@@ -47,7 +47,7 @@ def validate_weights(poly: IntPolynomial, q: int, weights) -> bool:
     if len(weights) != poly.degree:
         raise ValueError("weight multiset size must equal the polynomial degree")
     if poly.degree > DEGREE_CAP:
-        raise RootFindingFailure(f"degree {poly.degree} exceeds cap {DEGREE_CAP}")
+        raise PreconditionError(f"degree {poly.degree} exceeds cap {DEGREE_CAP}")
     if weights and weights[0] < 0:
         return False  # alpha * conj(alpha) = q^w < 1 is no algebraic integer
     F = power_transform(poly, 2).coeffs

@@ -17,7 +17,7 @@ from semistable_gate.bounds import (
     derived_constants,
     least_empty_prime,
 )
-from semistable_gate.errors import EllEqualsEll0, WEven
+from semistable_gate.errors import PreconditionError
 from semistable_gate.primes import next_prime
 
 Q_FIELD = FieldInvariants(d=1, disc=1, h_plus=1, galois_odd_degree=True)
@@ -94,7 +94,7 @@ def test_decide_cor1_requires_cyclotomic():
 
 
 def test_decide_cor1_rejects_ell0():
-    with pytest.raises(EllEqualsEll0):
+    with pytest.raises(PreconditionError, match=r"^ell = ell0 = 2 is outside the framework$"):
         decide_cor1(Q_FIELD, bullet(2, 2, 1, 1, cyclotomic=True),
                     2)
 
@@ -158,7 +158,7 @@ def test_decide_rt_gating():
     inv = FieldInvariants(2, 5, 1)
     v = decide_rt(inv, 1, 10 ** 9 + 7, "st_with_ell0", ell0=2, splits_in_K=True)
     assert v.conclusion == "NotDecided"
-    with pytest.raises(EllEqualsEll0):
+    with pytest.raises(PreconditionError, match=r"^ell = ell0 = 2 is outside the framework$"):
         decide_rt(Q_FIELD, 1, 2, "st_with_ell0", ell0=2)
 
 
@@ -190,7 +190,7 @@ def test_decide_etale_examples():
     assert (v.conclusion, v.threshold) == ("Empty", 16)
     v = decide_etale(Q_FIELD, 4, 2, 1, 193)
     assert (v.conclusion, v.threshold) == ("Empty", 192)
-    with pytest.raises(WEven):
+    with pytest.raises(PreconditionError, match=r"^w must be odd, got 2$"):
         decide_etale(Q_FIELD, 2, 2, 2, 17)
 
 

@@ -175,10 +175,10 @@ def test_precondition_exit_3(capsys):
 
 
 def test_internal_consistency_exit_4(capsys, monkeypatch):
-    from semistable_gate.errors import LemmaViolation
+    from semistable_gate.errors import InternalConsistencyError
 
     def boom(inst):
-        raise LemmaViolation("synthetic")
+        raise InternalConsistencyError("synthetic")
 
     # _cmd_gate imports forced_equality from gate when it runs
     monkeypatch.setattr(gate, "forced_equality", boom)
@@ -342,8 +342,7 @@ EXPORTS = """
     decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
     ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting
     trivial_setting
-    CongruenceInstance GateOutcome GateVerdict counterexample_search forced_equality
-    symmetric_congruence
+    CongruenceInstance GateVerdict counterexample_search forced_equality
     IntPolynomial from_power_sums from_prime_power_roots power_sums power_transform
     TameCharacterExponent canonical_exponent digit_weights frobenius_orbit
     WeilDatum enumerate_weil_quadratics functional_equation_check validate_weights
@@ -547,7 +546,8 @@ def test_a_degree_zero_polynomial_has_no_roots(capsys):
     code, out, _ = run_cli(capsys, "weil-check", {"query": {"poly": [1], "q": 2, "weights": []}})
     assert code == 0 and json.loads(out)["weights_valid"] is True
     doc = {"query": {"poly": [1], "q": 2, "weights": [], "s": 1, "u": 1, "t": [], "ell": 7}}
-    assert run_cli(capsys, "gate", doc) == (3, "", "precondition failure: n must be positive\n")
+    assert run_cli(capsys, "gate", doc) == (
+        3, "", "precondition failure: poly must have degree at least 1\n")
 
 
 def test_forced_equal_certificate(capsys):
@@ -595,6 +595,19 @@ def test_missing_input_file_exits_2(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith("schema error: cannot read input: ")
 
 
+def test_a_closed_stdout_exits_4_without_a_traceback():
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "semistable_gate.cli", "ec-irred"],
+                              input=json.dumps(EC_DOC), stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (4, "output failure: standard output is closed\n")
+
+
 RT_FIELD = {"d": 1, "disc": 1, "h_plus": 1}
 
 
@@ -606,7 +619,12 @@ RT_FIELD = {"d": 1, "disc": 1, "h_plus": 1}
      "schema error: query.ell0 is required for variant 'st_with_ell0'"),
     ("gate", {"query": dict(GATE, poly=[2, 5, 1])}, 3,
      "precondition failure: datum fails the root absolute-value check"),
-], ids=["non-object-root", "rt-variant", "rt-missing-ell0", "gate-invalid-datum"])
+    ("weil-check", {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1]}}, 2,
+     "schema error: weight multiset size must equal the polynomial degree"),
+    ("power-transform", {"query": {"poly": [2, 1, 1], "s": -1}}, 2,
+     "schema error: s must be non-negative"),
+], ids=["non-object-root", "rt-variant", "rt-missing-ell0", "gate-invalid-datum",
+        "weil-check-weights", "power-transform-s"])
 def test_refused_documents_name_their_fault(capsys, command, raw, code, message):
     assert run_cli(capsys, command, raw) == (code, "", message + "\n")
 

@@ -1,15 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semistable_gate.errors import CorpusTooLarge, LemmaViolation
+from semistable_gate.errors import InternalConsistencyError, PreconditionError
 from semistable_gate.gate import (
     CongruenceInstance,
-    GateOutcome,
     counterexample_search,
     forced_equality,
     lemma_bound,
     size_exponent,
-    symmetric_congruence,
 )
 from semistable_gate.intpoly import IntPolynomial, from_prime_power_roots, poly_mul
 from semistable_gate.primes import primes_up_to
@@ -42,8 +40,8 @@ def test_size_exponent():
 def test_symmetric_congruence_examples():
     d = quad_datum()
     # T^2+3T+4 vs T^2-4T+4: 3 == -4 mod 7 only
-    assert symmetric_congruence(CongruenceInstance(d, 2, 2, (1, 1), 7))
-    assert not symmetric_congruence(CongruenceInstance(d, 2, 2, (1, 1), 5))
+    assert forced_equality(CongruenceInstance(d, 2, 2, (1, 1), 7)).congruent
+    assert not forced_equality(CongruenceInstance(d, 2, 2, (1, 1), 5)).congruent
 
 
 def test_symmetric_congruence_reflexive_on_equality():
@@ -54,12 +52,12 @@ def test_symmetric_congruence_reflexive_on_equality():
             if q % ell == 0:
                 continue
             inst = CongruenceInstance(datum, 1, 1, (j,), ell, r=max(j, 1))
-            assert symmetric_congruence(inst)
+            assert forced_equality(inst).congruent
 
 
 def test_forced_equality_below_bound():
     v = forced_equality(CongruenceInstance(quad_datum(), 2, 2, (1, 1), 7))
-    assert v.outcome is GateOutcome.CONGRUENT_BELOW_BOUND
+    assert v.outcome == "CongruentBelowBound"
     assert v.bound == 64 and v.congruent
 
 
@@ -67,7 +65,7 @@ def test_forced_equality_exact():
     poly = poly_mul(IntPolynomial((-2, 1)), IntPolynomial((-4, 1)))
     datum = WeilDatum(poly, 2, (2, 4), 6)
     v = forced_equality(CongruenceInstance(datum, 1, 1, (1, 2), 101, r=2))
-    assert v.outcome is GateOutcome.FORCED_EQUAL
+    assert v.outcome == "ForcedEqual"
     assert v.matched_weights == (1, 2)
     assert sum(v.matched_weights) * 2 == 1 * sum(datum.weights)
 
@@ -77,13 +75,13 @@ def test_forced_equality_with_unmatched_weights_is_a_lemma_violation(monkeypatch
     # weights (1, 3), let through the validation, give s*w = (2, 6) != 2*t
     monkeypatch.setattr(WeilDatum, "validate", lambda self: True)
     datum = WeilDatum(IntPolynomial((-4, 0, 1)), 2, (1, 3), 4)
-    with pytest.raises(LemmaViolation, match=r"s\*w = 2 \* \[1, 3\] is not 2\*t = 2 \* \[2, 2\]"):
+    with pytest.raises(InternalConsistencyError, match=r"s\*w = 2 \* \[1, 3\] is not 2\*t = 2 \* \[2, 2\]"):
         forced_equality(CongruenceInstance(datum, 2, 2, (2, 2), 67))
 
 
 def test_forced_equality_not_congruent():
     v = forced_equality(CongruenceInstance(quad_datum(), 1, 1, (0, 0), 101))
-    assert v.outcome is GateOutcome.NOT_CONGRUENT
+    assert v.outcome == "NotCongruent"
     assert not v.congruent
 
 
@@ -97,6 +95,9 @@ def test_instance_validation():
         CongruenceInstance(d, 1, 1, (1, 1), 2)      # ell divides q
     with pytest.raises(ValueError):
         CongruenceInstance(d, 1, 1, (1,), 7)        # wrong t size
+    constant = WeilDatum(IntPolynomial((1,)), 2, (), 0)
+    with pytest.raises(ValueError, match=r"^poly must have degree at least 1$"):
+        CongruenceInstance(constant, 1, 1, (), 7)   # no eigenvalue
 
 
 def test_counterexample_search_contains_worked_instance():
@@ -129,7 +130,7 @@ def test_counterexample_search_deterministic_order():
 
 
 def test_counterexample_search_budget():
-    with pytest.raises(CorpusTooLarge):
+    with pytest.raises(PreconditionError, match=r"^corpus size at least \d+ exceeds budget 10$"):
         counterexample_search(2, 4, 2, 200, budget=10)
 
 
@@ -139,5 +140,5 @@ def test_forced_equal_never_fires_at_or_below_bound(ell, s):
     d = quad_datum()
     inst = CongruenceInstance(d, s, s, (1,) * 2 if s == 1 else (1, 1), ell)
     v = forced_equality(inst)
-    if v.outcome is GateOutcome.FORCED_EQUAL:
+    if v.outcome == "ForcedEqual":
         assert ell > v.bound

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semistable_gate.errors import NonIntegralSymmetricFunction
+from semistable_gate.errors import InternalConsistencyError
 from semistable_gate.intpoly import (
     IntPolynomial,
     from_power_sums,
@@ -64,7 +64,7 @@ def test_from_power_sums_examples():
 
 
 def test_from_power_sums_non_integral():
-    with pytest.raises(NonIntegralSymmetricFunction):
+    with pytest.raises(InternalConsistencyError, match=r"^a_0 = 1/2 is not an integer$"):
         from_power_sums((1, 0), 2)  # e_2 = 1/2
 
 

@@ -14,7 +14,7 @@ from semistable_gate.bounds import (
     Verdict,
     derived_constants,
 )
-from semistable_gate.gate import CongruenceInstance, GateOutcome, GateVerdict
+from semistable_gate.gate import CongruenceInstance, GateVerdict
 from semistable_gate.intpoly import IntPolynomial
 from semistable_gate.tame import TameCharacterExponent
 from semistable_gate.weil import WeilDatum
@@ -33,7 +33,7 @@ RECORDS = [
     (Setting("Ell", (16, 16), {"degree_odd": True}), "thresholds"),
     (QUAD, "coeffs"),
     (CongruenceInstance(DATUM, 2, 2, (1, 1), 7), "t"),
-    (GateVerdict(GateOutcome.NOT_CONGRUENT, 64, False), "bound"),
+    (GateVerdict("NotCongruent", 64, False), "bound"),
     (DATUM, "weights"),
     (TameCharacterExponent(5, 2, 7), "exponent"),
 ]
@@ -61,7 +61,7 @@ def test_keyword_and_default_construction():
     inst = CongruenceInstance(datum=DATUM, s=1, u=1, t=(0, 1), ell=7)
     assert (inst.d, inst.r) == (1, 1)
     assert CongruenceInstance(DATUM, 1, 1, (0, 2), 7, r=2).r == 2
-    assert GateVerdict(GateOutcome.NOT_CONGRUENT, 64, False).matched_weights is None
+    assert GateVerdict("NotCongruent", 64, False).matched_weights is None
     assert Setting("Ell", (16, 16), {})[3:] == (None, None)  # disc, ell0
     assert TameCharacterExponent(ell=5, level=2, exponent=7).modulus == 24
     assert WeilDatum(poly=QUAD, q=2, weights=(1, 1), weight_budget=2) == DATUM

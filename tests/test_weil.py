@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from semistable_gate.errors import RootFindingFailure
+from semistable_gate.errors import PreconditionError
 from semistable_gate.intpoly import IntPolynomial, poly_mul
 from semistable_gate.weil import (
     WeilDatum,
@@ -31,7 +31,7 @@ def test_validate_weights_permutation_invariant():
 
 def test_validate_weights_degree_cap():
     coeffs = (0,) * 65 + (1,)
-    with pytest.raises(RootFindingFailure):
+    with pytest.raises(PreconditionError, match=r"^degree 65 exceeds cap 64$"):
         validate_weights(IntPolynomial(coeffs), 2, [0] * 65)
 
 
