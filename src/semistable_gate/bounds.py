@@ -5,14 +5,16 @@ hypotheses and situations tried in order, each (label, hypotheses,
 threshold).  Every threshold is `lemma_bound`, 2*c*base^ceil(e), a (b)-type
 one at d times the exponent of its (a)-type partner.  A `Setting` applies a
 theorem to one family (`trivial_setting`, ..., `etale_setting`) and keeps
-the base field's discriminant.  `decide` runs its ladder at one prime and
-`least_empty_prime` finds in closed form the least prime it certifies; both
-read the table and the flags in `_situations`, so every caller reads them
-alike, and ell divides the discriminant whenever it does in fact.  All
+the base field's discriminant.  `decide` runs its ladder at one prime, and
+`least_empty_prime` asks it prime by prime from the least threshold any
+situation can pass; only `_situations` (and `Setting.refuses`) read the
+table, the flags and the primes a ladder excludes, so every caller reads
+them alike, and ell divides the discriminant whenever it does in fact.  All
 arithmetic is exact, and a decision is Empty, with a hypothesis trace, or
 NotDecided: no procedure ever asserts non-emptiness.  The records
 (`FieldInvariants`, `Verdict`, ...) are named tuples, which cost nothing to
-define at import time; those with constraints check them when built.
+define at import time; those with constraints check them when built, and
+the fields of `Verdict` and `DerivedConstants` are their certificate keys.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import PreconditionError, brief
+from .errors import DIGIT_LIMIT, PreconditionError, brief
 from .primes import next_prime
 
 
@@ -114,14 +116,21 @@ def derived_constants(inv: FieldInvariants, p: RepFamilyParams) -> DerivedConsta
     M = max{n*r, w_bar/2}; eps1 = d*M, eps2 = d*eps1, and the primed versions
     carry the narrow class number.  Each C is 2*c_n*ell0^ceil(eps): a
     fractional exponent is rounded up, which only enlarges the threshold.
+    C2', the largest, is refused from bit lengths once it passes 10^DIGIT_LIMIT.
     """
     M = size_exponent(p.n, p.r, p.weight_budget)
     d, h = inv.d, inv.h_plus
+    # log2 C2' >= 1 + n - log2(n+1) + ceil(eps2')*log2(ell0), as c_n >= 2^n/(n+1);
+    # 2^bits > 10^DIGIT_LIMIT once bits*1233/4096 passes it, 1233/4096 < log10(2)
+    eps2p = d * d * h * M
+    bits = 1 + p.n - (p.n + 1).bit_length() + math.ceil(eps2p) * (p.ell0.bit_length() - 1)
+    if bits * 1233 > DIGIT_LIMIT * 4096:
+        raise PreconditionError(f"C2' = 2*c_n*ell0^ceil(eps2') has more than {DIGIT_LIMIT} digits")
     C1, C2 = _a_b(p.n, p.ell0, d, M, 1)
     C1p, C2p = _a_b(p.n, p.ell0, d, M, h)
     return DerivedConstants(
         M=M, c_n=central_binomial(p.n), eps1=d * M, eps2=d * d * M,
-        eps1p=d * h * M, eps2p=d * d * h * M, C1=C1, C2=C2, C1p=C1p, C2p=C2p)
+        eps1p=d * h * M, eps2p=eps2p, C1=C1, C2=C2, C1p=C1p, C2p=C2p)
 
 
 # ---- the theorem table ------------------------------------------------------
@@ -272,25 +281,20 @@ def least_empty_prime(settings: Sequence[Setting], divides_disc: bool = False,
     """Least prime some setting certifies Empty, the flags read at every
     prime as `decide` reads them; None when no situation can fire.
 
-    A situation fires at the least prime above its threshold other than its
-    setting's ell0 and, if it needs ell_not_dividing_disc, the primes
-    dividing the discriminant.  Thresholds go in increasing order while they
-    can beat the best prime found, so `next_prime` meets one past its range
-    only when no smaller answer exists."""
-    # (threshold, ell0, the discriminant if the situation needs coprimality)
-    firing = [(threshold, s.ell0, s.disc if ("ell_not_dividing_disc", True) in hyps else None)
-              for s in settings
-              for _, gate, hyps, threshold in _situations(s, None, divides_disc, splits_in_K)
-              if all(ok for _, ok in gate + hyps)]
-    best = None
-    for threshold, ell0, disc in sorted(firing, key=lambda f: f[0]):
-        if best is not None and threshold + 1 >= best:
-            break
-        ell = next_prime(threshold)
-        while ell == ell0 or disc and disc % ell == 0:
-            ell = next_prime(ell)
-        best = ell if best is None else min(best, ell)
-    return best
+    No prime at or below the least threshold any situation can pass is
+    certified; above it, the ladders are asked prime by prime until one
+    answers Empty, so the primes a ladder excludes (ell0, the discriminant's
+    divisors) are read from `_situations` and `Setting.refuses` alone."""
+    thresholds = [threshold for s in settings
+                  for _, gate, hyps, threshold in _situations(s, None, divides_disc, splits_in_K)
+                  if all(ok for _, ok in gate + hyps)]
+    if not thresholds:
+        return None
+    ell = next_prime(min(thresholds))
+    while not any(decide(s, ell, divides_disc, splits_in_K).conclusion == "Empty"
+                  for s in settings if not s.refuses(ell)):
+        ell = next_prime(ell)
+    return ell
 
 
 # ---- the decision entries ---------------------------------------------------

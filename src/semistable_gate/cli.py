@@ -3,9 +3,11 @@
 Input is a strict-schema JSON document (unknown keys rejected) read from
 --input or standard input; the certificate goes to standard output as
 canonical JSON: sorted keys, no floats (rationals render as "p/q"), no
-timestamps.  Exit codes: 0 success (NotDecided included), 2 schema error,
-3 domain precondition failure, 4 internal consistency failure, an
-exhausted resource (memory, recursion depth) or a closed standard output.
+timestamps.  A result section is its record's own fields (`Verdict`,
+`GateVerdict`, `DerivedConstants`), so no key is named here.  Exit codes:
+0 success (NotDecided included), 2 schema error, 3 domain precondition
+failure, 4 internal consistency failure, an exhausted resource (memory,
+recursion depth) or a closed standard output.
 
 `COMMANDS` is each command's whole input contract: per section (field,
 params, query), the record built from it and each key's schema type: int,
@@ -33,7 +35,6 @@ from .bounds import (
     FieldInvariants,
     RepFamilyParams,
     Setting,
-    Verdict,
     cor1_setting,
     cor2_setting,
     decide,
@@ -133,10 +134,11 @@ def _load_document(args: argparse.Namespace) -> dict:
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_ratio)
 
 
-def _frac(x: Fraction) -> str:
+def _ratio(x) -> str:
+    # json.dumps calls this only for a value JSON has no type for: a Fraction
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -214,16 +216,6 @@ def _poly(coeffs: list[int]) -> IntPolynomial:
     return _record(IntPolynomial, tuple(coeffs))
 
 
-def _verdict_body(v: Verdict) -> dict:
-    return {
-        "conclusion": v.conclusion,
-        "theorem": v.theorem,
-        "situation": v.situation,
-        "threshold": v.threshold,
-        "trace": [[name, ok] for name, ok in v.trace],
-    }
-
-
 def _dispatch(command: str, doc: dict, args: argparse.Namespace) -> dict:
     """Check the top-level sections, read the field, params and query the
     command takes, and wrap its handler's body in the certificate."""
@@ -238,13 +230,7 @@ def _dispatch(command: str, doc: dict, args: argparse.Namespace) -> dict:
 
 
 def _cmd_constants(inv, p, query, args) -> dict:
-    c = derived_constants(inv, p)
-    return {"constants": {
-        "M": _frac(c.M), "c_n": c.c_n,
-        "eps1": _frac(c.eps1), "eps2": _frac(c.eps2),
-        "eps1p": _frac(c.eps1p), "eps2p": _frac(c.eps2p),
-        "C1": c.C1, "C2": c.C2, "C1p": c.C1p, "C2p": c.C2p,
-    }}
+    return {"constants": derived_constants(inv, p)._asdict()}
 
 
 class _Decision(namedtuple("_Decision", "settings several", defaults=(False,))):
@@ -261,7 +247,7 @@ class _Decision(namedtuple("_Decision", "settings several", defaults=(False,))):
         flags = (query.get("divides_disc", False), query.get("splits_in_K", False))
         body: dict = {"verdicts": []}
         for ell in query["ell"]:
-            verdicts = [_verdict_body(decide(s, ell, *flags)) for s in settings
+            verdicts = [decide(s, ell, *flags)._asdict() for s in settings
                         if not self.several or not s.refuses(ell)]
             entry = {"verdicts": verdicts} if self.several else verdicts[0]
             body["verdicts"].append({"ell": ell, **entry})
@@ -325,14 +311,7 @@ def _cmd_gate(inv, p, query, args) -> dict:
     for ell in query["ell"]:
         inst = CongruenceInstance(datum, query["s"], query["u"], tuple(query["t"]),
                                   ell, d=query.get("d", 1), r=query.get("r", 1))
-        v = forced_equality(inst)
-        verdicts.append({
-            "ell": ell,
-            "outcome": v.outcome,
-            "bound": v.bound,
-            "congruent": v.congruent,
-            "matched_weights": v.matched_weights,
-        })
+        verdicts.append({"ell": ell, **forced_equality(inst)._asdict()})
     return {"verdicts": verdicts}
 
 

@@ -63,10 +63,8 @@ def forced_equality(inst: CongruenceInstance) -> GateVerdict:
     and ell above the bound means the two must agree over the integers,
     and then the matched weights s*w_k/2 are the sorted t; a failure of
     either check is an InternalConsistencyError (possible only for an
-    invalid datum or an implementation bug).
+    implementation bug: the datum was validated when built).
     """
-    if not inst.datum.validate():
-        raise ValueError("datum fails the root absolute-value check")
     bound = inst.bound
     lhs = power_transform(inst.datum.poly, inst.s)
     rhs = from_prime_power_roots(inst.datum.q, inst.t)

@@ -67,23 +67,40 @@ def prime_count_lower_bound(x: int) -> int:
 
 
 def _iroot(n: int, k: int) -> int:
-    """floor(n^(1/k)) by bisection, keeping lo^k <= n < hi^k."""
-    lo, hi = 1, 1 << -(-n.bit_length() // k)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if mid ** k <= n else (lo, mid)
-    return lo
+    """floor(n^(1/k)) for n >= 1.  Newton's method falls to it, in a few
+    steps whatever k is, from a float estimate of n^(1/k) raised past its
+    rounding error: the float log2 n is off by about 2^-53 of itself."""
+    e = math.log2(n) / k
+    shift = max(int(e) - 52, 0)
+    x = (int(2 ** (e - shift) * (1 + n.bit_length() * 2 ** -50)) + 1) << shift
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+_TRIAL_BITS = 8  # n is trial-divided below B = 2^_TRIAL_BITS before any root is taken
 
 
 def _prime_power_root(n: int) -> int | None:
-    """The prime p with n = p^k, or None.  Taking k-th roots for each prime
-    k in turn, as often as they are exact, leaves the least root of n, which
-    is p exactly when n is a prime power."""
+    """The prime p with n = p^k, or None.  The least divisor of n past 1, if
+    it is below B, is a prime that settles it: n is a power of that prime or
+    of none.  Otherwise every prime factor of n passes B, so n = p^k needs
+    k < log_B n; taking k-th roots for each such prime k in turn, as often as
+    they are exact, leaves the least root of n, which is p exactly when n is
+    a prime power (Bernstein, "Detecting perfect powers in essentially linear
+    time", 1998)."""
     if n < 2:
         return None
+    for p in range(2, min(math.isqrt(n) + 1, 1 << _TRIAL_BITS)):
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else None
+    if n < 1 << 2 * _TRIAL_BITS:
+        return n  # no divisor up to its square root: n is prime
     root = n
-    for k in primes_up_to(n.bit_length()):
-        if k > root.bit_length():
+    for k in primes_up_to(n.bit_length() // _TRIAL_BITS):
+        if k * _TRIAL_BITS >= root.bit_length():
             break
         while (x := _iroot(root, k)) ** k == root:
             root = x

@@ -20,9 +20,10 @@ DEGREE_CAP = 64
 
 
 class WeilDatum(namedtuple("WeilDatum", "poly q weights weight_budget")):
-    """A monic integer polynomial asserted to have roots of absolute values
-    q^{w_k/2}, with total weight at most weight_budget; weights are kept
-    sorted."""
+    """A monic integer polynomial whose roots have absolute values q^{w_k/2},
+    with total weight at most weight_budget; weights are kept sorted.  The
+    root absolute values are checked when the datum is built, so a datum
+    that exists is valid."""
 
     __slots__ = ()
 
@@ -34,10 +35,9 @@ class WeilDatum(namedtuple("WeilDatum", "poly q weights weight_budget")):
             raise ValueError("weights must be non-negative")
         if sum(weights) > weight_budget:
             raise ValueError(f"total weight {brief(sum(weights))} exceeds budget {brief(weight_budget)}")
+        if not validate_weights(poly, q, weights):
+            raise PreconditionError("datum fails the root absolute-value check")
         return super().__new__(cls, poly, q, weights, weight_budget)
-
-    def validate(self) -> bool:
-        return validate_weights(self.poly, self.q, self.weights)
 
 
 def validate_weights(poly: IntPolynomial, q: int, weights) -> bool:

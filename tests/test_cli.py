@@ -560,6 +560,44 @@ def test_forced_equal_certificate(capsys):
                                             "congruent": True, "matched_weights": [2, 2]}]
 
 
+def test_gate_validates_its_datum_once_per_document(capsys, monkeypatch):
+    from semistable_gate import weil
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return validate_weights(*args)
+
+    validate_weights = weil.validate_weights
+    monkeypatch.setattr(weil, "validate_weights", counted)
+    doc = {"query": dict(GATE, ell=[7, 11, 13, 17, 19])}
+    code, out, _ = run_cli(capsys, "gate", doc)
+    assert code == 0 and len(json.loads(out)["verdicts"]) == 5
+    assert len(calls) == 1
+
+
+def test_gate_refuses_an_invalid_datum_without_an_ell(capsys):
+    doc = {"query": dict(GATE, poly=[2, 5, 1], ell=[])}
+    assert run_cli(capsys, "gate", doc) == (
+        3, "", "precondition failure: datum fails the root absolute-value check\n")
+
+
+@pytest.mark.parametrize("command,doc,code,message", [
+    # C2' = 2*c_100*2^(1000^2*1000*10^4): refused before any power or binomial
+    ("constants", {"field": {"d": 1000, "disc": 5, "h_plus": 1000},
+                   "params": {"n": 100, "ell0": 2, "r": 100, "variant": "bullet", "w": 1}}, 3,
+     "precondition failure: C2' = 2*c_n*ell0^ceil(eps2') has more than 4300 digits\n"),
+    # 10^3799 + 1 = 11 * ...: trial division settles it before any root is taken
+    ("weil-check", '{"query": {"poly": [1, 1], "q": 1%s1, "weights": [0]}}' % ("0" * 3798), 2,
+     "schema error: query.q = 1000000000...0000000001 (3800 digits) is not a prime power\n"),
+], ids=["constants-d-h-1000", "weil-check-q-3800-digits"])
+def test_large_documents_are_refused_at_once(capsys, command, doc, code, message):
+    start = time.perf_counter()
+    result = run_cli(capsys, command, doc)
+    assert time.perf_counter() - start < 0.5
+    assert result == (code, "", message)
+
+
 # C2' has past 6000 digits (exit 3); the orbit at h = 3000 prints 1.39 MB (exit 0)
 DIGIT_LIMIT_DOCS = [
     ("constants", {"field": {"d": 10, "disc": 5, "h_plus": 10},

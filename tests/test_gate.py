@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from semistable_gate import weil
 from semistable_gate.errors import InternalConsistencyError, PreconditionError
 from semistable_gate.gate import (
     CongruenceInstance,
@@ -73,7 +74,7 @@ def test_forced_equality_exact():
 def test_forced_equality_with_unmatched_weights_is_a_lemma_violation(monkeypatch):
     # roots +-2 have weight 2 at q = 2, and (T-4)^2 matches t = (2, 2) exactly;
     # weights (1, 3), let through the validation, give s*w = (2, 6) != 2*t
-    monkeypatch.setattr(WeilDatum, "validate", lambda self: True)
+    monkeypatch.setattr(weil, "validate_weights", lambda poly, q, weights: True)
     datum = WeilDatum(IntPolynomial((-4, 0, 1)), 2, (1, 3), 4)
     with pytest.raises(InternalConsistencyError, match=r"s\*w = 2 \* \[1, 3\] is not 2\*t = 2 \* \[2, 2\]"):
         forced_equality(CongruenceInstance(datum, 2, 2, (2, 2), 67))

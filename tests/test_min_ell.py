@@ -1,4 +1,6 @@
-"""--min-ell in closed form against the prime-by-prime scan it replaced."""
+"""--min-ell against a prime-by-prime scan of the whole range.  The CLI asks
+the ladders prime by prime too, but starts at the least threshold any
+situation can pass; the scan starts at 2, so it checks that start."""
 
 import io
 import json
@@ -66,10 +68,10 @@ def settings_of(command, doc):
 
 
 def reference_min_ell(command, doc):
-    """The scan --min-ell ran before it had a closed form: the least prime
-    below SCAN_LIMIT, other than ell0, at which some setting's ladder
-    certifies Empty, with the query's flags read at that prime as the CLI
-    reads them; None when there is none below the limit."""
+    """The reference scan: the least prime below SCAN_LIMIT, other than
+    ell0, at which some setting's ladder certifies Empty, with the query's
+    flags read at that prime as the CLI reads them; None when there is none
+    below the limit."""
     inv, settings, ell0 = settings_of(command, doc)
     q = doc["query"]
     flags = (q.get("divides_disc", False), q.get("splits_in_K", False))
@@ -121,6 +123,9 @@ def decision_documents(draw):
 # ell0 = 2 is the first prime above the trivial case's threshold 0
 @example(("decide", {"field": FIELDS[1], "query": {"ell": []},
                      "params": {"n": 1, "ell0": 2, "r": 1, "variant": "bullet", "w": 1}}))
+# 67 and 71, the first two primes above the threshold 64, both divide 4757
+@example(("ec-irred", {"field": {"d": 2, "disc": 67 * 71, "h_plus": 1},
+                       "query": {"ell": [], "ell_E": 2}}))
 # the flag blocks (a) at every prime and the even degree blocks (b): no answer
 @example(("ec-irred", {"field": FIELDS[2], "query": {"ell": [], "ell_E": 2,
                                                      "divides_disc": True}}))

@@ -25,6 +25,16 @@ def test_prime_power_base_beyond_float_range():
     assert not is_prime_power(2 ** 1100 * 3)
 
 
+def test_prime_powers_with_no_small_factor():
+    # no divisor below 2^8: the roots are taken, by Newton's method
+    for p in (257, 65537, 1000003, 2 ** 61 - 1):
+        for k in (1, 2, 3, 5, 6, 30, 97):
+            assert prime_power_base(p ** k) == p, (p, k)
+    for m in (257 * 263, 65537 * 1000003, (2 ** 61 - 1) * 263):
+        for k in (1, 2, 7, 60):
+            assert not is_prime_power(m ** k), (m, k)
+
+
 def test_prime_count_lower_bound_below_exact_count():
     sieve = primes_up_to(10 ** 5)
     count = 0

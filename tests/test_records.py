@@ -102,7 +102,8 @@ def test_invalid_arguments_raise_the_same_messages(build, message):
 
 def test_normalisation():
     assert DATUM.weights == (1, 1)
-    assert WeilDatum(IntPolynomial((-8, 6, 1)), 2, [2, 0], 2).weights == (0, 2)
+    # (T - 1)(T - 2) at q = 2: |1| = 2^(0/2) and |2| = 2^(2/2)
+    assert WeilDatum(IntPolynomial((2, -3, 1)), 2, [2, 0], 2).weights == (0, 2)
     assert CongruenceInstance(DATUM, 1, 1, [1, 0], 7).t == (0, 1)
     poly = IntPolynomial([Fraction(4, 2), True, Fraction(1)])
     assert poly.coeffs == (2, 1, 1) and all(type(c) is int for c in poly.coeffs)
