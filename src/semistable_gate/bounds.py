@@ -180,7 +180,7 @@ def _facts(inv: FieldInvariants, p: RepFamilyParams | None = None) -> tuple[dict
     facts = {"degree_odd": inv.d % 2 == 1, "galois_odd_degree": inv.galois_odd_degree}
     if p is not None:
         if p.variant != "bullet":
-            raise ValueError("this decision requires the bullet (uniform weight) variant")
+            raise PreconditionError("this decision requires the bullet (uniform weight) variant")
         w_odd, w_big = p.w % 2 == 1, p.w > 2 * p.r
         facts.update(w_odd=w_odd, w_gt_2r=w_big, w_odd_or_w_gt_2r=w_odd or w_big,
                      n_odd=p.n % 2 == 1)
@@ -194,7 +194,7 @@ def trivial_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
 def cor1_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
     facts = _facts(inv, p)
     if not p.cyclotomic:
-        raise ValueError("this decision applies to the cyclotomic subfamily only")
+        raise PreconditionError("this decision applies to the cyclotomic subfamily only")
     M = size_exponent(p.n, p.r, p.weight_budget)
     return Setting("Cor1", _a_b(p.n, p.ell0, inv.d, M, 1), *facts, p.ell0)
 
@@ -213,16 +213,19 @@ def rt_setting(inv: FieldInvariants, g: int, variant: str,
     st (RTst): thresholds 2^(2dg+1)*binom(2g,g) and 2^(2d^2g+1)*binom(2g,g).
     st_with_ell0 (GRTst): thresholds 2*ell0^(2dgh+)*binom(2g,g) and
     2*ell0^(2d^2gh+)*binom(2g,g), gated on ell non-split in K and ell != ell0.
+    ell0 is given exactly for st_with_ell0.
     """
+    if variant not in ("st", "st_with_ell0"):
+        raise ValueError(f"variant must be 'st' or 'st_with_ell0', got {variant!r}")
+    if variant == "st_with_ell0" and ell0 is None:
+        raise ValueError("ell0 is required for variant 'st_with_ell0'")
+    if variant == "st" and ell0 is not None:
+        raise ValueError("ell0 is only meaningful for variant 'st_with_ell0'")
     if g < 1:
-        raise ValueError("g must be positive")
+        raise PreconditionError("g must be positive")
     if variant == "st":
         return Setting("RTst", _a_b(2 * g, 2, inv.d, 2 * g, 1), *_facts(inv))
-    if variant == "st_with_ell0":
-        if ell0 is None:
-            raise ValueError("st_with_ell0 requires ell0")
-        return Setting("GRTst", _a_b(2 * g, ell0, inv.d, 2 * g, inv.h_plus), *_facts(inv), ell0)
-    raise ValueError(f"unknown variant {variant!r}")
+    return Setting("GRTst", _a_b(2 * g, ell0, inv.d, 2 * g, inv.h_plus), *_facts(inv), ell0)
 
 
 def ec_irred_setting(inv: FieldInvariants, ell_E: int) -> Setting:
@@ -233,11 +236,13 @@ def ec_irred_setting(inv: FieldInvariants, ell_E: int) -> Setting:
 
 def etale_setting(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> Setting:
     """Residual-Borel exclusion for odd-degree etale cohomology of Betti
-    number b_w and odd weight w with good reduction above ell_X."""
+    number b_w and odd weight w >= 1 with good reduction above ell_X."""
     if w % 2 == 0:
         raise PreconditionError(f"w must be odd, got {brief(w)}")
+    if w < 1:
+        raise PreconditionError(f"w must be positive, got {brief(w)}")
     if b_w < 1:
-        raise ValueError("b_w must be positive")
+        raise PreconditionError("b_w must be positive")
     return Setting("Et", _a_b(b_w, ell_X, inv.d, b_w * w, inv.h_plus), *_facts(inv))
 
 

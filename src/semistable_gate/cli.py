@@ -15,7 +15,9 @@ bool, str, "int_list" (an integer or a list of integers), "prime",
 "prime_list" (an integer or a list, each entry prime) or "prime_power".
 Every type is checked before the prime tests, and a record's ValueError is
 a schema error, as is that of a library check on the query itself (one
-weight per root, s >= 0), so a document with two faults may report either.
+weight per root, s >= 0, rt's variant and ell0), so a document with two
+faults may report either.  A setting checks its own family: a family
+outside a theorem's domain is a precondition failure.
 
 A process pays only for its command: `main` builds only the subparser of
 the command argv names (all ten for help, no command or an unknown one),
@@ -34,7 +36,6 @@ from . import __version__
 from .bounds import (
     FieldInvariants,
     RepFamilyParams,
-    Setting,
     cor1_setting,
     cor2_setting,
     decide,
@@ -233,42 +234,31 @@ def _cmd_constants(inv, p, query, args) -> dict:
     return {"constants": derived_constants(inv, p)._asdict()}
 
 
-class _Decision(namedtuple("_Decision", "settings several", defaults=(False,))):
+class _Decision(namedtuple("_Decision", "settings")):
     """Handler of a decision command: `settings(inv, p, query)` gives its
-    settings, built once.  With `several`, each ell lists the verdict of
-    every setting, leaving out those that refuse it (`Setting.refuses`);
-    otherwise the entry is the one setting's verdict, and a refused ell is
-    a precondition failure."""
+    settings, built once through `_record`.  With several settings, each ell
+    lists the verdict of every setting, leaving out those that refuse it
+    (`Setting.refuses`); with one, the entry is its verdict, and a refused
+    ell is a precondition failure."""
 
     __slots__ = ()
 
     def __call__(self, inv, p, query, args) -> dict:
-        settings = self.settings(inv, p, query)
+        settings = _record(self.settings, inv, p, query)
+        several = len(settings) > 1
         flags = (query.get("divides_disc", False), query.get("splits_in_K", False))
         body: dict = {"verdicts": []}
         for ell in query["ell"]:
             verdicts = [decide(s, ell, *flags)._asdict() for s in settings
-                        if not self.several or not s.refuses(ell)]
-            entry = {"verdicts": verdicts} if self.several else verdicts[0]
+                        if not several or not s.refuses(ell)]
+            entry = {"verdicts": verdicts} if several else verdicts[0]
             body["verdicts"].append({"ell": ell, **entry})
         if args.min_ell:
             body["min_ell"] = least_empty_prime(settings, *flags)
         return body
 
 
-def _rt_settings(inv, p, query) -> list[Setting]:
-    variant, ell0 = query["variant"], query.get("ell0")
-    if variant not in ("st", "st_with_ell0"):
-        raise SchemaError(f"query.variant must be 'st' or 'st_with_ell0', got {variant!r}")
-    if variant == "st_with_ell0":
-        if ell0 is None:
-            raise SchemaError("query.ell0 is required for variant 'st_with_ell0'")
-    elif ell0 is not None:
-        raise SchemaError("query.ell0 is only meaningful for variant 'st_with_ell0'")
-    return [rt_setting(inv, query["g"], variant, ell0)]
-
-
-def _uniform_weight_settings(inv, p, query) -> list[Setting]:
+def _uniform_weight_settings(inv, p, query) -> list:
     cor1 = [cor1_setting(inv, p)] if p.cyclotomic else []
     return [trivial_setting(inv, p), *cor1, cor2_setting(inv, p)]
 
@@ -346,11 +336,11 @@ COMMANDS = {
         _cmd_constants, {"field": _FIELD, "params": _PARAMS}),
     "decide": (
         "trivial-case + uniform-weight emptiness decisions",
-        _Decision(_uniform_weight_settings, several=True),
+        _Decision(_uniform_weight_settings),
         {"field": _FIELD, "params": _PARAMS, "query": (dict, {"ell": "prime_list"}, _FLAGS)}),
     "rt": (
         "abelian-variety torsion-tower emptiness thresholds",
-        _Decision(_rt_settings),
+        _Decision(lambda inv, p, q: [rt_setting(inv, q["g"], q["variant"], q.get("ell0"))]),
         {"field": _FIELD, "query": (dict, {"g": int, "ell": "prime_list", "variant": str},
                                     {"ell0": "prime", **_FLAGS})}),
     "ec-irred": (

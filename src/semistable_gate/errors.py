@@ -21,11 +21,14 @@ class InternalConsistencyError(RuntimeError):
 
 def brief(n: int) -> str:
     """n in full up to 100 digits; past that, its first and last 10 digits
-    and its digit count.  It never calls str() on all of n, which refuses
-    integers past the int-to-str digit limit."""
+    and its digit count, and past 2^20 bits, where dividing out the leading
+    digits takes seconds, its bit length.  It never calls str() on all of n,
+    which refuses integers past the int-to-str digit limit."""
     m = abs(n)
     if m < 10 ** 100:
         return str(n)
+    if m.bit_length() > 1 << 20:
+        return f"a {'negative ' * (n < 0)}{m.bit_length()}-bit integer"
     digits = m.bit_length() * 1233 >> 12    # 1233/4096 < log10(2): at most the count
     while 10 ** digits <= m:
         digits += 1

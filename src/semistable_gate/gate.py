@@ -40,6 +40,8 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r")
             raise ValueError("ell must not divide q")
         if datum.poly.degree == 0:
             raise ValueError("poly must have degree at least 1")
+        if d < 1:
+            raise ValueError(f"d must be positive, got {brief(d)}")
         return super().__new__(cls, datum, s, u, t, ell, d, r)
 
     @property

@@ -29,8 +29,6 @@ class WeilDatum(namedtuple("WeilDatum", "poly q weights weight_budget")):
 
     def __new__(cls, poly: IntPolynomial, q: int, weights, weight_budget: int):
         weights = tuple(sorted(int(w) for w in weights))
-        if len(weights) != poly.degree:
-            raise ValueError("weight multiset size must equal the polynomial degree")
         if any(w < 0 for w in weights):
             raise ValueError("weights must be non-negative")
         if sum(weights) > weight_budget:

@@ -171,6 +171,7 @@ def test_criterion_7_one_directionality_fuzz():
     rng = random.Random(7)
     primes = primes_up_to(10_000)
     checked = 0
+    reached = {}
     for _ in range(100_000):
         d = rng.randint(1, 4)
         inv = FieldInvariants(d, rng.choice([1, 5, 8, 49, 1009][d > 1:]), rng.randint(1, 4),
@@ -193,9 +194,10 @@ def test_criterion_7_one_directionality_fuzz():
                                     rng.randint(0, 3), "bullet", w=rng.randint(0, 3))
                 v = decide_trivial(inv, p, ell)
             elif kind == 3:
-                v = decide_rt(inv, rng.randint(1, 4), ell,
-                              rng.choice(["st", "st_with_ell0"]),
-                              ell0=rng.choice([2, 3, 5]), **flags)
+                g, variant, ell0 = (rng.randint(1, 4), rng.choice(["st", "st_with_ell0"]),
+                                    rng.choice([2, 3, 5]))
+                v = decide_rt(inv, g, ell, variant,
+                              ell0=ell0 if variant == "st_with_ell0" else None, **flags)
             elif kind == 4:
                 v = decide_ec_irred(inv, rng.choice([2, 3, 5]), ell, **flags)
             else:
@@ -204,6 +206,7 @@ def test_criterion_7_one_directionality_fuzz():
         except ValueError:
             continue  # ell == ell0 and similar precondition rejections
         checked += 1
+        reached[v.theorem] = reached.get(v.theorem, 0) + 1
         assert v.conclusion in ("Empty", "NotDecided")
         if v.conclusion == "Empty":
             assert all(ok for _, ok in v.trace), v
@@ -213,5 +216,8 @@ def test_criterion_7_one_directionality_fuzz():
             if ("ell_not_dividing_disc", True) in v.trace:
                 assert inv.d == 1 or inv.disc % ell != 0 and not flags["divides_disc"], v
     assert checked > 50_000
+    # every family's verdicts are checked: a precondition that starts
+    # refusing a whole branch shows here, not as a quietly shorter run
+    assert min(reached.values()) > 5_000 and len(reached) == 7, reached
     report(f"criterion 7: one-directionality holds on {checked} fuzzed inputs",
            started)

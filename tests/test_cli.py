@@ -7,7 +7,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from semistable_gate import cli, gate, intpoly
 from semistable_gate.intpoly import IntPolynomial, poly_mul
@@ -652,19 +652,32 @@ RT_FIELD = {"d": 1, "disc": 1, "h_plus": 1}
 @pytest.mark.parametrize("command,raw,code,message", [
     ("ec-irred", "[1]", 2, "schema error: document root must be a JSON object"),
     ("rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "x", "ell": 17}}, 2,
-     "schema error: query.variant must be 'st' or 'st_with_ell0', got 'x'"),
+     "schema error: variant must be 'st' or 'st_with_ell0', got 'x'"),
     ("rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "st_with_ell0", "ell": 17}}, 2,
-     "schema error: query.ell0 is required for variant 'st_with_ell0'"),
+     "schema error: ell0 is required for variant 'st_with_ell0'"),
     ("gate", {"query": dict(GATE, poly=[2, 5, 1])}, 3,
      "precondition failure: datum fails the root absolute-value check"),
     ("weil-check", {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1]}}, 2,
      "schema error: weight multiset size must equal the polynomial degree"),
     ("power-transform", {"query": {"poly": [2, 1, 1], "s": -1}}, 2,
      "schema error: s must be non-negative"),
+    ("etale", {"field": RT_FIELD, "query": {"b_w": 2, "ell_X": 2, "w": -1, "ell": []}}, 3,
+     "precondition failure: w must be positive, got -1"),
+    ("gate", {"query": dict(GATE, d=0)}, 3, "precondition failure: d must be positive, got 0"),
 ], ids=["non-object-root", "rt-variant", "rt-missing-ell0", "gate-invalid-datum",
-        "weil-check-weights", "power-transform-s"])
+        "weil-check-weights", "power-transform-s", "etale-w-negative", "gate-d-zero"])
 def test_refused_documents_name_their_fault(capsys, command, raw, code, message):
     assert run_cli(capsys, command, raw) == (code, "", message + "\n")
+
+
+def test_a_threshold_past_the_primality_range_is_refused_by_its_size(capsys):
+    # the least threshold, 4*2^(4*10^6), is named by its bit length, not divided down
+    doc = {"field": {"d": 2, "disc": 5, "h_plus": 10 ** 6}, "query": {"ell_E": 2, "ell": []}}
+    started = time.process_time()
+    assert run_cli(capsys, "ec-irred", doc, "--min-ell") == (
+        3, "", "precondition failure: primality of a 4000003-bit integer exceeds"
+               " the deterministic witness range\n")
+    assert time.process_time() - started < 1
 
 
 # Documents drawn from every command's schema, with small values, then
@@ -712,8 +725,21 @@ def cli_documents(draw):
     return command, text, flags
 
 
+def _floats(value) -> list:
+    """Every float in a parsed JSON value: a certificate has none."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _floats(v)]
+    return [value] if isinstance(value, float) else []
+
+
 @settings(max_examples=400, deadline=None)
 @given(cli_documents())
+# outside the theorems' domains, where the closed forms give fractions (4/9, 1/4)
+@example(("etale", json.dumps({"field": {"d": 1, "disc": 1, "h_plus": 1},
+                               "query": {"b_w": 2, "ell_X": 3, "w": -1, "ell": [2, 17]}}), []))
+@example(("gate", json.dumps({"query": dict(GATE, s=1, u=1, d=-1)}), []))
 def test_every_document_ends_in_a_known_exit_with_a_message(case):
     import contextlib, io
     command, text, flags = case
@@ -730,3 +756,4 @@ def test_every_document_ends_in_a_known_exit_with_a_message(case):
         assert out == "" and err.strip()
     else:
         assert out == cli.canonical_json(json.loads(out)) + "\n" and err == ""
+        assert _floats(json.loads(out)) == []

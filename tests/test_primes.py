@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from semistable_gate.errors import brief
@@ -53,3 +55,11 @@ def test_messages_abbreviate_integers_past_100_digits():
     n = 43 ** 3100  # 5064 digits, and no Miller-Rabin witness divides it
     with pytest.raises(ValueError, match=r"^primality of \d{10}\.\.\.\d{10} \(5064 digits\)"):
         is_prime(n)
+
+
+def test_messages_give_the_bit_length_past_2_to_the_20_bits():
+    # finding the leading digits of such an integer would take seconds
+    started = time.process_time()
+    assert brief(1 << (1 << 20)) == "a 1048577-bit integer"
+    assert brief(-(1 << 4_000_002)) == "a negative 4000003-bit integer"
+    assert time.process_time() - started < 0.1

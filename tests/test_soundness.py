@@ -1,0 +1,136 @@
+"""Every Empty certificate is true in fact.
+
+A property over the five families (the uniform-weight family of `decide`,
+its cyclotomic subfamily, and `rt`, `ec-irred` and `etale`): each Empty the
+CLI certifies, at the query's primes and at its --min-ell answer, must pass
+`trace_checker`, which recomputes every claim from the input document and
+shares no code with the package."""
+
+import io
+import json
+import sys
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
+
+from semistable_gate import cli
+from trace_checker import check_empty, check_nonsplit, is_prime, thresholds
+
+FIELDS = [{"d": 1, "disc": 1}, {"d": 1, "disc": 1, "galois_odd_degree": True},
+          *({"d": 2, "disc": disc} for disc in (5, 8, 12, 13, 4757)),
+          {"d": 3, "disc": 49}, {"d": 3, "disc": 49, "galois_odd_degree": True}]
+# small primes, among them the discriminants' divisors and ell0 candidates
+SPECIAL = [2, 3, 5, 7, 13, 67, 71, 101]
+# --min-ell is asked only where every threshold is below this, so that
+# trial division can prove its answer prime
+MIN_ELL_CAP = 10 ** 9
+
+
+def run(command: str, doc: dict, *flags: str) -> tuple[int, dict | None]:
+    old_stdin, old_stdout, old_stderr = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(json.dumps(doc)), io.StringIO(), io.StringIO()
+    try:
+        code = cli.main([command, *flags])
+        out = sys.stdout.getvalue()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = old_stdin, old_stdout, old_stderr
+    return code, json.loads(out) if code == 0 else None
+
+
+def _prime_from(n: int) -> int:
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@st.composite
+def families(draw):
+    command = draw(st.sampled_from(["decide", "rt", "ec-irred", "etale"]))
+    field = {**draw(st.sampled_from(FIELDS)), "h_plus": draw(st.integers(1, 2))}
+    ells = st.sampled_from(SPECIAL) | st.integers(2, 10 ** 6).map(_prime_from)
+    query = {"ell": draw(st.lists(ells, max_size=3, unique=True))}
+    for flag in ("divides_disc", "splits_in_K"):
+        if draw(st.booleans()):
+            query[flag] = draw(st.booleans())
+    doc = {"field": field, "query": query}
+    if command == "decide":
+        doc["params"] = {"n": draw(st.integers(1, 4)), "ell0": draw(st.sampled_from([2, 3, 5, 7])),
+                         "r": draw(st.integers(0, 2)), "variant": "bullet",
+                         "w": draw(st.integers(0, 4)), "cyclotomic": draw(st.booleans())}
+    elif command == "rt":
+        query.update(g=draw(st.integers(1, 3)),
+                     variant=draw(st.sampled_from(["st", "st_with_ell0"])))
+        if query["variant"] == "st_with_ell0":
+            query["ell0"] = draw(st.sampled_from([2, 3, 5]))
+            query["ell"] = [ell for ell in query["ell"] if ell != query["ell0"]]
+    elif command == "ec-irred":
+        query["ell_E"] = draw(st.sampled_from([2, 3, 5, 7]))
+    else:
+        query.update(b_w=draw(st.integers(1, 4)), ell_X=draw(st.sampled_from([2, 3, 5])),
+                     w=draw(st.sampled_from([1, 3])))
+    return command, doc
+
+
+def _largest_theorem(command: str, query: dict) -> str:
+    """The theorem whose thresholds bound the family's: Cor2's bound Cor1's,
+    and Trivial's is 0."""
+    return {"decide": "Cor2", "ec-irred": "Ell", "etale": "Et"}.get(command) \
+        or ("RTst" if query["variant"] == "st" else "GRTst")
+
+
+def empties(command: str, doc: dict) -> list[tuple[int, dict]]:
+    """(ell, verdict) for each Empty the CLI certifies at the query's primes
+    and at its --min-ell answer, which must be one."""
+    code, cert = run(command, doc)
+    assert code == 0, (command, doc)
+    found = [(entry["ell"], v) for entry in cert["verdicts"]
+             for v in entry.get("verdicts", [entry]) if v["conclusion"] == "Empty"]
+    theorem = _largest_theorem(command, doc["query"])
+    if max(thresholds(theorem, doc).values()) <= MIN_ELL_CAP:
+        code, cert = run(command, {**doc, "query": {**doc["query"], "ell": []}}, "--min-ell")
+        assert code == 0, (command, doc)
+        if (min_ell := cert["min_ell"]) is not None:
+            _, cert = run(command, {**doc, "query": {**doc["query"], "ell": [min_ell]}})
+            entry = cert["verdicts"][0]
+            at_min = [v for v in entry.get("verdicts", [entry]) if v["conclusion"] == "Empty"]
+            assert at_min, f"min_ell {min_ell} is certified by no setting"
+            found += [(min_ell, v) for v in at_min]
+    return found
+
+
+Q_GALOIS = {"d": 1, "disc": 1, "h_plus": 1, "galois_odd_degree": True}
+K5 = {"d": 2, "disc": 5, "h_plus": 1}
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(families())
+# situations the draws reach rarely: the trivial case, and Cor2's (d) and
+# (e) and RTst's (b), which the divides_disc flag forces onto the (b) thresholds
+@example(("decide", {"field": Q_GALOIS, "query": {"ell": [5]},
+                     "params": {"n": 1, "ell0": 2, "r": 1, "variant": "bullet", "w": 1}}))
+@example(("decide", {"field": K5, "query": {"ell": [37], "divides_disc": True},
+                     "params": {"n": 1, "ell0": 2, "r": 0, "variant": "bullet", "w": 2}}))
+@example(("decide", {"field": K5, "query": {"ell": [24593], "divides_disc": True},
+                     "params": {"n": 3, "ell0": 2, "r": 1, "variant": "bullet", "w": 1}}))
+@example(("rt", {"field": {"d": 3, "disc": 49, "h_plus": 1},
+                 "query": {"g": 1, "variant": "st", "ell": [1048583], "divides_disc": True}}))
+def test_every_empty_trace_is_true_in_fact(case):
+    command, doc = case
+    for ell, verdict in empties(command, doc):
+        check_empty(doc, ell, verdict)
+
+
+@pytest.mark.xfail(strict=True, reason="ell_does_not_split_in_K is read from the splits_in_K "
+                                       "flag alone, never from the field")
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(families())
+# 101 = 1 mod 5 splits in Q(sqrt 5), yet ec-irred certifies it Empty (Ell, a)
+@example(("ec-irred", {"field": {"d": 2, "disc": 5, "h_plus": 1},
+                       "query": {"ell_E": 2, "ell": [101]}}))
+# over the cubic field of discriminant 49, (d, disc, h_plus) cannot tell whether 257 splits
+@example(("ec-irred", {"field": {"d": 3, "disc": 49, "h_plus": 1},
+                       "query": {"ell_E": 2, "ell": [257]}}))
+def test_no_empty_claims_that_a_split_prime_does_not_split(case):
+    command, doc = case
+    for ell, verdict in empties(command, doc):
+        check_nonsplit(doc, ell, verdict)
