@@ -3,9 +3,10 @@
 The emptiness theorems are data: `THEOREMS` gives each a gate of named
 hypotheses and situations tried in order, each (label, hypotheses,
 threshold).  Every threshold is `lemma_bound`, 2*c*base^ceil(e), a (b)-type
-one at d times the exponent of its (a)-type partner.  A `Setting` applies a
-theorem to one family (`trivial_setting`, ..., `etale_setting`) and keeps
-the base field's discriminant.  `decide` runs its ladder at one prime, and
+one at d times the exponent of its (a)-type partner, or None past
+DIGIT_LIMIT digits.  A `Setting` applies a theorem to one family
+(`trivial_setting`, ..., `etale_setting`) and keeps the base field's
+discriminant.  `decide` runs its ladder at one prime, and
 `least_empty_prime` asks it prime by prime from the least threshold any
 situation can pass; only `_situations` (and `Setting.refuses`) read the
 table, the flags and the primes a ladder excludes, so every caller reads
@@ -13,8 +14,8 @@ them alike, and ell divides the discriminant whenever it does in fact.  All
 arithmetic is exact, and a decision is Empty, with a hypothesis trace, or
 NotDecided: no procedure ever asserts non-emptiness.  The records
 (`FieldInvariants`, `Verdict`, ...) are named tuples, which cost nothing to
-define at import time; those with constraints check them when built, and
-the fields of `Verdict` and `DerivedConstants` are their certificate keys.
+define at import time; those with constraints check them when built, and the
+fields of `Verdict` and `DerivedConstants` are their certificate keys.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import DIGIT_LIMIT, PreconditionError, brief
+from .errors import DIGIT_LIMIT, PreconditionError, brief, min_digits
 from .primes import next_prime
 
 
@@ -95,17 +96,19 @@ def size_exponent(n: int, r: int, w_bar: int) -> Fraction:
     return max(Fraction(n * r), Fraction(w_bar, 2))
 
 
-def lemma_bound(n: int, ell0: int, d: int, M: int | Fraction, u: int) -> int:
-    """2 * c_n * ell0^(d*M*u), exact: every threshold in the package.
-
-    A fractional exponent (odd w_bar) is rounded up: a larger bound is
-    always sound.
-    """
+def lemma_bound(n: int, ell0: int, d: int, M: int | Fraction, u: int) -> int | None:
+    """2 * c_n * ell0^(d*M*u), exact: every threshold in the package, or None
+    past DIGIT_LIMIT digits, where no prime the program reads passes it, told
+    first from bit lengths: log2(2*c_n) >= 1 + n - log2(n+1).  A fractional
+    exponent (odd w_bar) is rounded up: a larger bound is always sound."""
     exponent = -(-d * M.numerator * u // M.denominator)
-    return 2 * central_binomial(n) * ell0 ** exponent
+    if min_digits(1 + n - (n + 1).bit_length() + exponent * (ell0.bit_length() - 1)) > DIGIT_LIMIT:
+        return None
+    bound = 2 * central_binomial(n) * ell0 ** exponent
+    return bound if bound < 10 ** DIGIT_LIMIT else None
 
 
-def _a_b(n: int, base: int, d: int, M: int | Fraction, u: int) -> tuple[int, int]:
+def _a_b(n: int, base: int, d: int, M: int | Fraction, u: int) -> tuple[int | None, int | None]:
     """Situation (a) at exponent d*M*u, and (b) at d times that."""
     return lemma_bound(n, base, d, M, u), lemma_bound(n, base, d, M, u * d)
 
@@ -116,21 +119,15 @@ def derived_constants(inv: FieldInvariants, p: RepFamilyParams) -> DerivedConsta
     M = max{n*r, w_bar/2}; eps1 = d*M, eps2 = d*eps1, and the primed versions
     carry the narrow class number.  Each C is 2*c_n*ell0^ceil(eps): a
     fractional exponent is rounded up, which only enlarges the threshold.
-    C2', the largest, is refused from bit lengths once it passes 10^DIGIT_LIMIT.
+    C2', the largest, is refused once `lemma_bound` leaves it unbuilt.
     """
     M = size_exponent(p.n, p.r, p.weight_budget)
     d, h = inv.d, inv.h_plus
-    # log2 C2' >= 1 + n - log2(n+1) + ceil(eps2')*log2(ell0), as c_n >= 2^n/(n+1);
-    # 2^bits > 10^DIGIT_LIMIT once bits*1233/4096 passes it, 1233/4096 < log10(2)
-    eps2p = d * d * h * M
-    bits = 1 + p.n - (p.n + 1).bit_length() + math.ceil(eps2p) * (p.ell0.bit_length() - 1)
-    if bits * 1233 > DIGIT_LIMIT * 4096:
-        raise PreconditionError(f"C2' = 2*c_n*ell0^ceil(eps2') has more than {DIGIT_LIMIT} digits")
-    C1, C2 = _a_b(p.n, p.ell0, d, M, 1)
     C1p, C2p = _a_b(p.n, p.ell0, d, M, h)
-    return DerivedConstants(
-        M=M, c_n=central_binomial(p.n), eps1=d * M, eps2=d * d * M,
-        eps1p=d * h * M, eps2p=eps2p, C1=C1, C2=C2, C1p=C1p, C2p=C2p)
+    if C2p is None:
+        raise PreconditionError(f"C2' = 2*c_n*ell0^ceil(eps2') has more than {DIGIT_LIMIT} digits")
+    return DerivedConstants(M, central_binomial(p.n), d * M, d * d * M, d * h * M, d * d * h * M,
+                            *_a_b(p.n, p.ell0, d, M, 1), C1p, C2p)
 
 
 # ---- the theorem table ------------------------------------------------------
@@ -263,7 +260,7 @@ def _situations(s: Setting, ell: int | None, divides_disc: bool, splits_in_K: bo
     gate = [(h, facts[h]) for h in gate]
     for label, hyps, i in situations:
         threshold = s.thresholds[i]
-        facts["ell_gt_threshold"] = ell is None or ell > threshold
+        facts["ell_gt_threshold"] = ell is None or threshold is not None and ell > threshold
         yield label, gate, [(h, facts[h]) for h in hyps], threshold
 
 
@@ -295,7 +292,9 @@ def least_empty_prime(settings: Sequence[Setting], divides_disc: bool = False,
                   if all(ok for _, ok in gate + hyps)]
     if not thresholds:
         return None
-    ell = next_prime(min(thresholds))
+    if not (built := [t for t in thresholds if t is not None]):
+        raise PreconditionError(f"every threshold reaches 10^{DIGIT_LIMIT}, past the witness range")
+    ell = next_prime(min(built))
     while not any(decide(s, ell, divides_disc, splits_in_K).conclusion == "Empty"
                   for s in settings if not s.refuses(ell)):
         ell = next_prime(ell)

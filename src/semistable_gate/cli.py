@@ -46,7 +46,8 @@ from .bounds import (
     rt_setting,
     trivial_setting,
 )
-from .errors import DIGIT_LIMIT, InternalConsistencyError, PreconditionError, SchemaError, brief
+from .errors import (DIGIT_LIMIT, InternalConsistencyError, PreconditionError, SchemaError,
+                     brief, min_digits)
 from .primes import is_prime, is_prime_power
 
 TOOL = "semistable-gate"
@@ -288,8 +289,11 @@ def _cmd_weil_check(inv, p, query, args) -> dict:
 
 def _cmd_power_transform(inv, p, query, args) -> dict:
     from .intpoly import power_transform
-    out = _record(power_transform, _poly(query["poly"]), query["s"])
-    return {"result": list(out.coeffs)}
+    poly, s = _poly(query["poly"]), query["s"]
+    # the result's constant term is +-c_0^s: refused unbuilt past the digit limit
+    if min_digits((abs(poly.coeffs[0]).bit_length() - 1) * s) > DIGIT_LIMIT:
+        raise PreconditionError(f"query.s = {brief(s)}: c_0^s has more than {DIGIT_LIMIT} digits")
+    return {"result": list(_record(power_transform, poly, s).coeffs)}
 
 
 def _cmd_gate(inv, p, query, args) -> dict:

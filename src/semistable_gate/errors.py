@@ -7,6 +7,11 @@
 DIGIT_LIMIT = 4300
 
 
+def min_digits(bits: int) -> int:
+    """A lower bound on the digits of every integer >= 2^bits: 1233/4096 < log10(2)."""
+    return (bits * 1233 >> 12) + 1
+
+
 class SchemaError(ValueError):
     """Malformed or unknown-key input document."""
 
@@ -20,16 +25,12 @@ class InternalConsistencyError(RuntimeError):
 
 
 def brief(n: int) -> str:
-    """n in full up to 100 digits; past that, its first and last 10 digits
-    and its digit count, and past 2^20 bits, where dividing out the leading
-    digits takes seconds, its bit length.  It never calls str() on all of n,
-    which refuses integers past the int-to-str digit limit."""
+    """n in full up to 100 digits; past that, its first and last 10 digits and
+    its digit count, never calling str() on all of n (refused past DIGIT_LIMIT)."""
     m = abs(n)
     if m < 10 ** 100:
         return str(n)
-    if m.bit_length() > 1 << 20:
-        return f"a {'negative ' * (n < 0)}{m.bit_length()}-bit integer"
-    digits = m.bit_length() * 1233 >> 12    # 1233/4096 < log10(2): at most the count
+    digits = min_digits(m.bit_length() - 1)
     while 10 ** digits <= m:
         digits += 1
     return f"{'-' * (n < 0)}{m // 10 ** (digits - 10)}...{m % 10 ** 10:010d} ({digits} digits)"

@@ -16,7 +16,7 @@ from collections.abc import Iterator
 from itertools import combinations_with_replacement
 
 from .bounds import lemma_bound, size_exponent
-from .errors import InternalConsistencyError, PreconditionError, brief
+from .errors import DIGIT_LIMIT, InternalConsistencyError, PreconditionError, brief
 from .intpoly import IntPolynomial, from_prime_power_roots, poly_mul, power_transform
 from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
@@ -48,7 +48,9 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r")
     def bound(self) -> int:
         n = self.datum.poly.degree
         M = size_exponent(n, self.r, self.datum.weight_budget)
-        return lemma_bound(n, prime_power_base(self.datum.q), self.d, M, self.u)
+        if (bound := lemma_bound(n, prime_power_base(self.datum.q), self.d, M, self.u)) is None:
+            raise PreconditionError(f"bound 2*c_n*ell0^(d*M*u) has more than {DIGIT_LIMIT} digits")
+        return bound
 
 
 # outcome is "ForcedEqual", "CongruentBelowBound" or "NotCongruent";

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .errors import DIGIT_LIMIT, PreconditionError, brief
+from .errors import DIGIT_LIMIT, PreconditionError, brief, min_digits
 from .primes import is_prime
 
 
@@ -23,10 +23,8 @@ class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level expon
             raise ValueError(f"ell = {brief(ell)} is not prime")
         if level < 1:
             raise ValueError("level must be positive")
-        # the orbit of a nonzero exponent rotates a nonzero digit to the top,
-        # so it holds an integer of at least ell^(level-1); the bit-length
-        # test comes first, so that power is small
-        if ((ell.bit_length() - 1) * (level - 1) > 4 * DIGIT_LIMIT
+        # a nonzero exponent's orbit rotates a nonzero digit to the top: an integer >= ell^(level-1)
+        if (min_digits((ell.bit_length() - 1) * (level - 1)) > DIGIT_LIMIT
                 or ell ** (level - 1) >= 10 ** DIGIT_LIMIT):
             raise PreconditionError(f"level {brief(level)} is too large: the orbit of a nonzero "
                                     f"exponent holds an integer of more than {DIGIT_LIMIT} digits")

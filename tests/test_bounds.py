@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from semistable_gate.bounds import (
     FieldInvariants,
@@ -16,6 +17,7 @@ from semistable_gate.bounds import (
     decide_trivial,
     derived_constants,
     least_empty_prime,
+    lemma_bound,
 )
 from semistable_gate.errors import PreconditionError
 from semistable_gate.primes import next_prime
@@ -33,6 +35,26 @@ def test_central_binomial():
     assert central_binomial(3) == 3
     assert central_binomial(4) == 6
     assert central_binomial(1) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 60) | st.integers(1, 16000),
+       ell0=st.sampled_from([2, 3, 5, 101, 2 ** 61 - 1]),
+       d=st.integers(1, 4), numerator=st.integers(0, 4000), u=st.integers(1, 8))
+@example(n=1, ell0=2, d=1, numerator=2 * 14283, u=1)  # 2^14284 has 4300 digits
+@example(n=1, ell0=2, d=1, numerator=2 * 14284, u=1)  # 2^14285 has 4301
+@example(n=2, ell0=3, d=1, numerator=9200, u=2)       # 4*3^9200, past it by its value only
+@example(n=14300, ell0=2, d=1, numerator=0, u=1)      # 2*c_n alone, near the limit
+def test_lemma_bound_is_its_closed_form_up_to_the_digit_limit(n, ell0, d, numerator, u):
+    M = Fraction(numerator, 2)
+    exponent = math.ceil(d * M * u)
+    if exponent * (ell0.bit_length() - 1) > 20_000:
+        expected = None  # ell0^exponent alone passes 2^20000 > 10^6000
+    else:
+        expected = 2 * math.comb(n, n // 2) * ell0 ** exponent
+        if expected >= 10 ** 4300:
+            expected = None
+    assert lemma_bound(n, ell0, d, M, u) == expected
 
 
 def test_derived_constants_examples():

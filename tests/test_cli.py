@@ -452,14 +452,18 @@ def test_ell_flag_on_a_non_object_query_exits_2(capsys, query):
     assert code == 2 and out == "" and "query must be a JSON object" in err
 
 
-def _cli_process(doc: str, *argv, limit_bytes: int | None = None):
+def _cli_process(doc: str, *argv, limit_bytes: int | None = None, cpu_seconds: int | None = None):
     def limit():
-        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+        # set in the child only, between fork and exec
+        if limit_bytes:
+            resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
+        if cpu_seconds:
+            resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
 
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     return subprocess.run([sys.executable, "-m", "semistable_gate.cli", *argv],
                           input=doc, capture_output=True, text=True, timeout=60,
-                          preexec_fn=limit if limit_bytes else None,
+                          preexec_fn=limit if limit_bytes or cpu_seconds else None,
                           env={**os.environ, "PYTHONPATH": str(src)})
 
 
@@ -590,12 +594,127 @@ def test_gate_refuses_an_invalid_datum_without_an_ell(capsys):
     # 10^3799 + 1 = 11 * ...: trial division settles it before any root is taken
     ("weil-check", '{"query": {"poly": [1, 1], "q": 1%s1, "weights": [0]}}' % ("0" * 3798), 2,
      "schema error: query.q = 1000000000...0000000001 (3800 digits) is not a prime power\n"),
-], ids=["constants-d-h-1000", "weil-check-q-3800-digits"])
+    # the bounds 2*2*2^(2*10^10) and 2*2*2^(2*10^9): refused before any power or transform
+    ("gate", {"query": dict(GATE, s=10 ** 5, u=10 ** 5)}, 3,
+     "precondition failure: bound 2*c_n*ell0^(d*M*u) has more than 4300 digits\n"),
+    ("gate", {"query": dict(GATE, s=1, u=1, r=10 ** 9, t=[10 ** 9, 0])}, 3,
+     "precondition failure: bound 2*c_n*ell0^(d*M*u) has more than 4300 digits\n"),
+    # the constant term of the result would be 2^s
+    ("power-transform", {"query": {"poly": [2, 0, 1], "s": 3 * 10 ** 4}}, 3,
+     "precondition failure: query.s = 30000: c_0^s has more than 4300 digits\n"),
+    ("power-transform", {"query": {"poly": [2, 0, 1], "s": 3 * 10 ** 5}}, 3,
+     "precondition failure: query.s = 300000: c_0^s has more than 4300 digits\n"),
+], ids=["constants-d-h-1000", "weil-check-q-3800-digits", "gate-s-u-10-5", "gate-r-10-9",
+        "power-transform-s-3e4", "power-transform-s-3e5"])
 def test_large_documents_are_refused_at_once(capsys, command, doc, code, message):
     start = time.perf_counter()
     result = run_cli(capsys, command, doc)
     assert time.perf_counter() - start < 0.5
     assert result == (code, "", message)
+
+
+def _not_decided(theorem: str, trace: str) -> dict:
+    """A NotDecided verdict; a trace name marked with ! is false."""
+    return {"conclusion": "NotDecided", "situation": None, "theorem": theorem, "threshold": 0,
+            "trace": [[h.lstrip("!"), not h.startswith("!")] for h in trace.split()]}
+
+
+NONSPLIT_AB = ("ell_does_not_split_in_K a:ell_not_dividing_disc !a:ell_gt_threshold "
+               "b:degree_odd !b:ell_gt_threshold")
+
+
+# Every threshold of these documents passes 10^4300, so none is built and none
+# is passed.  The ec-irred and rt verdicts are those that building them gave
+# (13 s and 24 s of CPU); decide and etale ran out of time or raised.
+@pytest.mark.parametrize("command,doc,verdict", [
+    ("ec-irred", {"field": {"d": 3, "disc": 49, "h_plus": 10 ** 6},
+                  "query": {"ell_E": 3, "ell": 17}}, _not_decided("Ell", NONSPLIT_AB)),
+    ("rt", {"field": {"d": 1000, "disc": 5, "h_plus": 1},
+            "query": {"g": 1000, "variant": "st", "ell": 17}},
+     _not_decided("RTst", "a:ell_not_dividing_disc !a:ell_gt_threshold "
+                          "!b:degree_odd !b:ell_gt_threshold")),
+    ("decide", {"field": Q1, "params": dict(BULLET, n=3 * 10 ** 6), "query": {"ell": 17}},
+     {"verdicts": [
+         _not_decided("Trivial", "!n_odd w_odd !galois_odd_degree ell_ne_ell0"),
+         _not_decided("Cor2", "w_odd_or_w_gt_2r ell_does_not_split_in_K "
+                              "a:w_odd a:ell_not_dividing_disc !a:ell_gt_threshold "
+                              "b:w_odd b:degree_odd !b:ell_gt_threshold "
+                              "!c:w_gt_2r c:ell_not_dividing_disc !c:ell_gt_threshold "
+                              "!d:w_gt_2r !d:ell_gt_threshold "
+                              "e:w_odd !e:n_odd !e:ell_gt_threshold")]}),
+    ("etale", {"field": Q1, "query": {"b_w": 10 ** 3999, "ell_X": 3, "w": 1, "ell": 17}},
+     _not_decided("Et", NONSPLIT_AB)),
+], ids=["ec-irred-h-10-6", "rt-d-g-1000", "decide-n-3e6", "etale-b-10-3999"])
+def test_thresholds_past_the_digit_limit_are_never_passed(capsys, command, doc, verdict):
+    started = time.process_time()
+    code, out, err = run_cli(capsys, command, doc)
+    assert time.process_time() - started < 0.5
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdicts"] == [{"ell": 17, **verdict}]
+
+
+# Integers up to 10^4000, as m*10^k + c, in every integer key of the six
+# commands that carry a threshold; each document is otherwise well formed, so
+# most reach the settings
+BIG = (st.integers(1, 20)
+       | st.builds(lambda m, k, c: max(m * 10 ** k + c, 1),
+                   st.integers(1, 9999), st.integers(0, 3996), st.integers(-3, 3))
+       | st.sampled_from([10 ** 6, 10 ** 9, 2 ** 89 - 1, 10 ** 3999, 10 ** 4000]))
+PRIME = st.sampled_from([2, 3, 5, 17, 101, 10 ** 9 + 7, 2 ** 89 - 1])
+BIG_PRIME = PRIME | BIG
+BIG_ELLS = st.lists(PRIME, min_size=1, max_size=2) | BIG_PRIME
+
+
+def _field(draw) -> dict:
+    field = {"d": draw(BIG), "disc": draw(BIG), "h_plus": draw(BIG)}
+    if draw(st.booleans()):
+        field["galois_odd_degree"] = draw(st.booleans())
+    return field
+
+
+@st.composite
+def large_documents(draw):
+    command = draw(st.sampled_from(["constants", "decide", "rt", "ec-irred", "etale", "gate"]))
+    if command in ("constants", "decide"):
+        variant, weight = draw(st.sampled_from([("bullet", "w"), ("circle", "w_bar")]))
+        doc = {"field": _field(draw), "params": {
+            "n": draw(BIG), "ell0": draw(BIG_PRIME), "r": draw(BIG), "variant": variant,
+            weight: draw(BIG), "cyclotomic": draw(st.booleans())}}
+        if command == "decide":
+            doc["query"] = {"ell": draw(BIG_ELLS)}
+    elif command == "rt":
+        doc = {"field": _field(draw), "query": {"g": draw(BIG), "variant": "st",
+                                                "ell": draw(BIG_ELLS)}}
+        if draw(st.booleans()):
+            doc["query"].update(variant="st_with_ell0", ell0=draw(BIG_PRIME))
+    elif command == "ec-irred":
+        doc = {"field": _field(draw), "query": {"ell_E": draw(BIG_PRIME), "ell": draw(BIG_ELLS)}}
+    elif command == "etale":
+        doc = {"field": _field(draw), "query": {"b_w": draw(BIG), "ell_X": draw(BIG_PRIME),
+                                                "w": draw(BIG), "ell": draw(BIG_ELLS)}}
+    else:
+        degree = draw(st.integers(1, 2))
+        ints = st.lists(BIG, min_size=degree, max_size=degree)
+        doc = {"query": {"poly": [*draw(ints), 1],
+                         "q": draw(BIG_PRIME | st.sampled_from([4, 8, 9, 2 ** 100])),
+                         "weights": draw(ints), "s": draw(BIG), "u": draw(BIG),
+                         "t": draw(ints), "ell": draw(BIG_ELLS),
+                         **draw(st.fixed_dictionaries({}, optional={"w_bar": BIG, "d": BIG,
+                                                                    "r": BIG}))}}
+    flags = ["--min-ell"] if command not in ("constants", "gate") and draw(st.booleans()) else []
+    return command, json.dumps(doc), flags
+
+
+@settings(max_examples=20, deadline=None)
+@given(large_documents())
+def test_large_values_end_in_a_known_exit_within_the_limits(case):
+    # each document in its own process, under 1 GB of address space and 2 s of CPU
+    command, text, flags = case
+    proc = _cli_process(text, command, *flags, limit_bytes=10 ** 9, cpu_seconds=2)
+    assert proc.returncode in (0, 2, 3, 4), (proc.returncode, proc.stderr[-300:])
+    assert "MemoryError" not in proc.stderr and "Traceback" not in proc.stderr
+    if proc.returncode:
+        assert proc.stdout == "" and proc.stderr.strip()
 
 
 # C2' has past 6000 digits (exit 3); the orbit at h = 3000 prints 1.39 MB (exit 0)
@@ -671,12 +790,11 @@ def test_refused_documents_name_their_fault(capsys, command, raw, code, message)
 
 
 def test_a_threshold_past_the_primality_range_is_refused_by_its_size(capsys):
-    # the least threshold, 4*2^(4*10^6), is named by its bit length, not divided down
+    # the least threshold, 4*2^(4*10^6), is refused by its size and never built
     doc = {"field": {"d": 2, "disc": 5, "h_plus": 10 ** 6}, "query": {"ell_E": 2, "ell": []}}
     started = time.process_time()
     assert run_cli(capsys, "ec-irred", doc, "--min-ell") == (
-        3, "", "precondition failure: primality of a 4000003-bit integer exceeds"
-               " the deterministic witness range\n")
+        3, "", "precondition failure: every threshold reaches 10^4300, past the witness range\n")
     assert time.process_time() - started < 1
 
 
