@@ -12,7 +12,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 
-from golden_cases import CASES  # noqa: E402
+from golden_cases import CASES, OTHER_CASES  # noqa: E402
 
 from semistable_gate import cli  # noqa: E402
 
@@ -34,7 +34,7 @@ def certificate_text(command: str, doc: dict) -> str:
 def main() -> None:
     golden_dir = pathlib.Path(__file__).resolve().parents[1] / "tests" / "golden"
     golden_dir.mkdir(exist_ok=True)
-    for name, command, doc, _ in CASES:
+    for name, command, doc, _ in CASES + OTHER_CASES:
         path = golden_dir / f"{name}.json"
         path.write_text(certificate_text(command, doc), encoding="utf-8")
         print(f"wrote {path}")

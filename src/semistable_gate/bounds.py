@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import DIGIT_LIMIT, PreconditionError, brief, min_digits
+from .errors import DIGIT_CEILING, DIGIT_LIMIT, PreconditionError, brief, min_digits
 from .primes import next_prime
 
 
@@ -105,7 +105,7 @@ def lemma_bound(n: int, ell0: int, d: int, M: int | Fraction, u: int) -> int | N
     if min_digits(1 + n - (n + 1).bit_length() + exponent * (ell0.bit_length() - 1)) > DIGIT_LIMIT:
         return None
     bound = 2 * central_binomial(n) * ell0 ** exponent
-    return bound if bound < 10 ** DIGIT_LIMIT else None
+    return bound if bound < DIGIT_CEILING else None
 
 
 def _a_b(n: int, base: int, d: int, M: int | Fraction, u: int) -> tuple[int | None, int | None]:

@@ -98,11 +98,12 @@ def _build_parser(names) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", metavar=metavar)
     for name in names:
-        helptext, handler, *_ = COMMANDS[name]
+        helptext, handler, sections = COMMANDS[name]
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--input", help="JSON document path (default: stdin)")
-        p.add_argument("--ell", type=int, action="append",
-                       help="override/add a prime ell to the query (repeatable)")
+        if "ell" in sections.get("query", (None, {}))[1]:
+            p.add_argument("--ell", type=int, action="append",
+                           help="override/add a prime ell to the query (repeatable)")
         if isinstance(handler, _Decision):
             p.add_argument("--min-ell", action="store_true",
                            help="add the least prime certified Empty (null if none is)")
@@ -126,7 +127,7 @@ def _load_document(args: argparse.Namespace) -> dict:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be a JSON object")
-    if args.ell:
+    if getattr(args, "ell", None):
         query = doc.setdefault("query", {})
         if not isinstance(query, dict):
             raise SchemaError("query must be a JSON object")

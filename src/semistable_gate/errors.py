@@ -5,6 +5,8 @@
 # Python's default int-to-str limit, which the CLI sets whatever the
 # environment says: a certificate prints no longer integer
 DIGIT_LIMIT = 4300
+# the least integer of more than DIGIT_LIMIT digits, built once
+DIGIT_CEILING = 10 ** DIGIT_LIMIT
 
 
 def min_digits(bits: int) -> int:

@@ -5,7 +5,9 @@ a target exponent multiset t, decide whether the multiset congruence
 {alpha_k^s} = {q^{t_k}} mod ell is forced into exact equality by the size
 bound ell > 2 * c_n * ell0^(d*M*u).  Multiset congruence in the algebraic
 closure is tested as coefficient-wise congruence of the two monic degree-n
-polynomials, which is equivalent because both sides split there.
+polynomials, which is equivalent because both sides split there.  An
+instance builds its bound when it is built, and one of more than DIGIT_LIMIT
+digits is refused there; `forced_equality` alone enforces the lemma.
 """
 
 from __future__ import annotations
@@ -22,15 +24,16 @@ from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
 
 
-class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r")):
+class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r bound")):
     """The congruence {alpha_k^s} = {q^(t_k)} mod ell for a Weil datum, over
-    a field of degree d with Hodge-Tate bound r; t is kept sorted."""
+    a field of degree d with Hodge-Tate bound r; t is kept sorted, and bound
+    is the forcing bound 2*c_n*ell0^(d*M*u), refused past DIGIT_LIMIT digits."""
 
     __slots__ = ()
 
     def __new__(cls, datum: WeilDatum, s: int, u: int, t, ell: int, d: int = 1, r: int = 1):
-        t = tuple(sorted(int(x) for x in t))
-        if len(t) != datum.poly.degree:
+        n, t = datum.poly.degree, tuple(sorted(int(x) for x in t))
+        if len(t) != n:
             raise ValueError("t must have one entry per eigenvalue")
         if not 0 <= s <= u:
             raise ValueError(f"need 0 <= s <= u, got s={brief(s)}, u={brief(u)}")
@@ -38,19 +41,14 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r")
             raise ValueError(f"every t_k must lie in [0, r*u] = [0, {brief(r * u)}]")
         if datum.q % ell == 0:
             raise ValueError("ell must not divide q")
-        if datum.poly.degree == 0:
+        if n == 0:
             raise ValueError("poly must have degree at least 1")
         if d < 1:
             raise ValueError(f"d must be positive, got {brief(d)}")
-        return super().__new__(cls, datum, s, u, t, ell, d, r)
-
-    @property
-    def bound(self) -> int:
-        n = self.datum.poly.degree
-        M = size_exponent(n, self.r, self.datum.weight_budget)
-        if (bound := lemma_bound(n, prime_power_base(self.datum.q), self.d, M, self.u)) is None:
+        M = size_exponent(n, r, datum.weight_budget)
+        if (bound := lemma_bound(n, prime_power_base(datum.q), d, M, u)) is None:
             raise PreconditionError(f"bound 2*c_n*ell0^(d*M*u) has more than {DIGIT_LIMIT} digits")
-        return bound
+        return super().__new__(cls, datum, s, u, t, ell, d, r, bound)
 
 
 # outcome is "ForcedEqual", "CongruentBelowBound" or "NotCongruent";
@@ -110,8 +108,8 @@ def counterexample_search(
     Corpus: products of weight-1 Weil quadratics at q (degree n), s in
     [1, s_max] with u = s and r = 1, all sorted t-multisets with entries in
     [0, r*u], all primes ell <= ell_max not dividing q.  Returns every
-    congruent instance where exact equality fails; each must sit at or below
-    the forcing bound, and that is re-checked here.
+    congruent instance where exact equality fails; `forced_equality` checks
+    that each sits at or below its forcing bound.
     """
     if n < 2 or n % 2 != 0 or n > 4:
         raise ValueError("n must be 2 or 4")
@@ -144,10 +142,7 @@ def counterexample_search(
                 for ell in primes:
                     if all((a - b) % ell == 0 for a, b in zip(lc, rc)):
                         inst = CongruenceInstance(datum, s, s, t, ell)
-                        if ell > inst.bound:
-                            raise InternalConsistencyError(
-                                f"sub-bound guarantee violated: ell={ell} > {inst.bound} "
-                                f"for {list(poly.coeffs)}, s={s}, t={t}")
+                        forced_equality(inst)  # raises if ell > bound: the lemma forbids it
                         found.append(inst)
     found.sort(key=lambda i: (i.datum.poly.coeffs, i.s, i.t, i.ell))
     return found

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .errors import DIGIT_LIMIT, PreconditionError, brief, min_digits
+from .errors import DIGIT_CEILING, DIGIT_LIMIT, PreconditionError, brief, min_digits
 from .primes import is_prime
 
 
@@ -25,7 +25,7 @@ class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level expon
             raise ValueError("level must be positive")
         # a nonzero exponent's orbit rotates a nonzero digit to the top: an integer >= ell^(level-1)
         if (min_digits((ell.bit_length() - 1) * (level - 1)) > DIGIT_LIMIT
-                or ell ** (level - 1) >= 10 ** DIGIT_LIMIT):
+                or ell ** (level - 1) >= DIGIT_CEILING):
             raise PreconditionError(f"level {brief(level)} is too large: the orbit of a nonzero "
                                     f"exponent holds an integer of more than {DIGIT_LIMIT} digits")
         modulus = ell ** level - 1

@@ -144,3 +144,26 @@ EXTRA_CHECKS = {
         and cert["constants"]["C2"] == 16 and cert["constants"]["C2p"] == 16
         and cert["constants"]["M"] == "2/1" and cert["constants"]["c_n"] == 2),
 }
+
+# commands the benchmark derives no body for, kept out of CASES, whose every
+# entry it reads: (name, command, document, check of the certificate), each
+# expected value derived by hand
+OTHER_CASES = [
+    # roots a, b of T^2+T+2: a^2+b^2 = (a+b)^2 - 2ab = 1 - 4 = -3 and
+    # a^2*b^2 = 4, so the squares are the roots of T^2+3T+4
+    ("power_transform_s2", "power-transform",
+     {"query": {"poly": [2, 1, 1], "s": 2}},
+     lambda cert: cert["result"] == [4, 3, 1]),
+
+    # (T^2+2)(T^2-T+2) = T^4-T^3+4T^2-2T+4: both factors have complex roots
+    # of product 2, so |alpha| = 2^(1/2); c_0 = 2^2 and c_1 = 2*c_3
+    ("weil_check_quartic_q2", "weil-check",
+     {"query": {"poly": [4, -2, 4, -1, 1], "q": 2, "weights": [1, 1, 1, 1]}},
+     lambda cert: cert["weights_valid"] is True and cert["functional_equation"] is True),
+
+    # 5 = 1*3 + 2, modulus 3^2-1 = 8: orbit 5, 5*3 mod 8 = 7
+    ("tame_weights_ell3_h2", "tame-weights",
+     {"query": {"ell": 3, "h": 2, "n_f": 5}},
+     lambda cert: cert["digits"] == [1, 2] and cert["orbit"] == [5, 7]
+     and cert["canonical"] == 5),
+]

@@ -40,7 +40,7 @@ from semistable_gate.tame import (
     frobenius_orbit,
 )
 
-from golden_cases import CASES, EXTRA_CHECKS
+from golden_cases import CASES, EXTRA_CHECKS, OTHER_CASES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -164,6 +164,16 @@ def test_criterion_6_decision_fidelity_golden_table():
                    for v in vs]
             assert got == expected[entry["ell"]], (name, got)
     report("criterion 6: 20 golden certificates byte-exact", started)
+
+
+def test_criterion_6_other_commands_golden():
+    started = time.monotonic()
+    for name, command, doc, check in OTHER_CASES:
+        code, out = _run_cli(command, doc)
+        assert code == 0, name
+        assert out == (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"), name
+        assert check(json.loads(out)), name
+    report("criterion 6: weil-check, power-transform, tame-weights golden certificates", started)
 
 
 def test_criterion_7_one_directionality_fuzz():

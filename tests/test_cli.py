@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -128,6 +129,37 @@ def test_ell_flag_appends(capsys):
     assert code == 0
     ells = [v["ell"] for v in json.loads(out)["verdicts"]]
     assert ells == [17, 13]
+
+
+@pytest.mark.parametrize("command", ["constants", "weil-check", "power-transform", "gate-search"])
+def test_ell_flag_is_only_for_commands_whose_query_takes_ell(capsys, command):
+    # parsed as a flag of its own, it was reported as a key the user never wrote
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, command, "{}", "--ell", "5")
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "error: unrecognized arguments: --ell 5" in out.err
+
+
+# (q, n, s_max, ell_max) -> sha256 of the certificate, copied from the
+# benchmark's independently derived instance lists (bench/workloads.py)
+GATE_SEARCH_SHA256 = {
+    (2, 2, 2, 200): "21004fd7423966a162e72518a81f79e21c4d2a75ec3374aef6cce1e392997c6a",
+    (3, 2, 2, 300): "3d3cb8283693c7b662cba09508c230c637a5b638631014e33836d6741556eecc",
+    (2, 2, 3, 500): "55cdd63ef35f860607e49815752158acd257e5c149e9082e85f434d055773c03",
+    (5, 2, 2, 200): "1c0cf5de35a35304d73bc5f320c71c8654f4acb28f6308a7e75b630f8f1eeab4",
+    (3, 4, 2, 500): "2a76b456b140b88f933b236a960d9f4b77bcfb4292cac2e693bf588158401532",
+}
+
+
+@pytest.mark.parametrize("config,sha", GATE_SEARCH_SHA256.items(),
+                         ids=["-".join(map(str, c)) for c in GATE_SEARCH_SHA256])
+def test_gate_search_certificate_bytes(capsys, config, sha):
+    q, n, s_max, ell_max = config
+    code, out, _ = run_cli(capsys, "gate-search",
+                           {"query": {"q": q, "n": n, "s_max": s_max, "ell_max": ell_max}})
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_schema_unknown_key_exit_2(capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from semistable_gate import weil
+from semistable_gate import gate, weil
 from semistable_gate.errors import InternalConsistencyError, PreconditionError
 from semistable_gate.gate import (
     CongruenceInstance,
@@ -143,3 +143,29 @@ def test_forced_equal_never_fires_at_or_below_bound(ell, s):
     v = forced_equality(inst)
     if v.outcome == "ForcedEqual":
         assert ell > v.bound
+
+
+def test_an_instance_past_the_digit_limit_is_refused_when_built():
+    # 2*c_2*2^(2*10^5) has about 60,000 digits
+    message = r"^bound 2\*c_n\*ell0\^\(d\*M\*u\) has more than 4300 digits$"
+    with pytest.raises(PreconditionError, match=message):
+        CongruenceInstance(quad_datum(), 10 ** 5, 10 ** 5, (1, 1), 7)
+
+
+@pytest.mark.parametrize("u,d,r", [(2, 1, 1), (3, 2, 1), (1, 1, 2), (2, 1, 0), (5, 3, 1)])
+def test_the_bound_is_a_field_with_its_closed_form(u, d, r):
+    # n = 2 and weight budget 2, so M = max(2r, 1); c_2 = 2 and ell0 = 2
+    inst = CongruenceInstance(quad_datum(), 1, u, (0, 0), 7, d=d, r=r)
+    assert "bound" in CongruenceInstance._fields
+    assert inst.bound == 2 * 2 * 2 ** (d * max(2 * r, 1) * u)
+    # T^2 + 9: roots +-3i of absolute value 9^(1/2), so ell0 = 3
+    nine = WeilDatum(IntPolynomial((9, 0, 1)), 9, (1, 1), 2)
+    nine = CongruenceInstance(nine, 1, u, (0, 0), 7, d=d, r=r)
+    assert nine.bound == 2 * 2 * 3 ** (d * max(2 * r, 1) * u)
+
+
+def test_the_sweep_leaves_the_lemma_to_forced_equality(monkeypatch):
+    # a bound of 2 puts every congruent, unequal hit (ell 7 among them) above it
+    monkeypatch.setattr(gate, "lemma_bound", lambda *args: 2)
+    with pytest.raises(InternalConsistencyError, match=r"^congruent mod \d+ above bound 2 but not equal"):
+        counterexample_search(2, 2, 2, 100)
