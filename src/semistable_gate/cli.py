@@ -15,9 +15,10 @@ bool, str, "int_list" (an integer or a list of integers), "prime",
 "prime_list" (an integer or a list, each entry prime) or "prime_power".
 Every type is checked before the prime tests, and a record's ValueError is
 a schema error, as is that of a library check on the query itself (one
-weight per root, s >= 0, rt's variant and ell0), so a document with two
-faults may report either.  A setting checks its own family: a family
-outside a theorem's domain is a precondition failure.
+weight per root, one t per eigenvalue, s >= 0, rt's variant and ell0), so a
+document with two faults may report either.  A setting or a gate instance
+checks its own domain when built, once per document whatever its ell list
+holds: a family outside a theorem's domain is a precondition failure.
 
 A process pays only for its command: `main` builds only the subparser of
 the command argv names (all ten for help, no command or an unknown one),
@@ -302,25 +303,18 @@ def _cmd_gate(inv, p, query, args) -> dict:
     from .weil import WeilDatum
     w_bar = query.get("w_bar", sum(query["weights"]))
     datum = _record(WeilDatum, _poly(query["poly"]), query["q"], tuple(query["weights"]), w_bar)
-    verdicts = []
-    for ell in query["ell"]:
-        inst = CongruenceInstance(datum, query["s"], query["u"], tuple(query["t"]),
-                                  ell, d=query.get("d", 1), r=query.get("r", 1))
-        verdicts.append({"ell": ell, **forced_equality(inst)._asdict()})
-    return {"verdicts": verdicts}
+    inst = _record(CongruenceInstance, datum, query["s"], query["u"], tuple(query["t"]),
+                   d=query.get("d", 1), r=query.get("r", 1))
+    return {"verdicts": [{"ell": ell, **forced_equality(inst, ell)._asdict()}
+                         for ell in query["ell"]]}
 
 
 def _cmd_gate_search(inv, p, query, args) -> dict:
     from .gate import counterexample_search
     found = counterexample_search(query["q"], query["n"], query["s_max"],
                                   query["ell_max"], budget=args.budget)
-    instances = [{
-        "poly": list(inst.datum.poly.coeffs),
-        "s": inst.s,
-        "t": list(inst.t),
-        "ell": inst.ell,
-        "bound": inst.bound,
-    } for inst in found]
+    instances = [{"poly": list(inst.datum.poly.coeffs), "s": inst.s, "t": list(inst.t),
+                  "ell": ell, "bound": inst.bound} for inst, ell in found]
     return {"count": len(instances), "instances": instances}
 
 

@@ -5,9 +5,10 @@ a target exponent multiset t, decide whether the multiset congruence
 {alpha_k^s} = {q^{t_k}} mod ell is forced into exact equality by the size
 bound ell > 2 * c_n * ell0^(d*M*u).  Multiset congruence in the algebraic
 closure is tested as coefficient-wise congruence of the two monic degree-n
-polynomials, which is equivalent because both sides split there.  An
-instance builds its bound when it is built, and one of more than DIGIT_LIMIT
-digits is refused there; `forced_equality` alone enforces the lemma.
+polynomials, which is equivalent because both sides split there.  The bound
+does not depend on ell, so an instance has no ell: it is built once, with its
+bound, and one of more than DIGIT_LIMIT digits is refused there;
+`forced_equality(inst, ell)` alone enforces the lemma, prime by prime.
 """
 
 from __future__ import annotations
@@ -24,31 +25,30 @@ from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
 
 
-class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t ell d r bound")):
-    """The congruence {alpha_k^s} = {q^(t_k)} mod ell for a Weil datum, over
-    a field of degree d with Hodge-Tate bound r; t is kept sorted, and bound
-    is the forcing bound 2*c_n*ell0^(d*M*u), refused past DIGIT_LIMIT digits."""
+class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t d r bound")):
+    """The congruence {alpha_k^s} = {q^(t_k)} mod any prime ell, for a Weil
+    datum over a field of degree d with Hodge-Tate bound r; t is kept sorted,
+    and bound, 2*c_n*ell0^(d*M*u), is refused past DIGIT_LIMIT digits.  A t of
+    the wrong length is a ValueError, any other fault a PreconditionError."""
 
     __slots__ = ()
 
-    def __new__(cls, datum: WeilDatum, s: int, u: int, t, ell: int, d: int = 1, r: int = 1):
+    def __new__(cls, datum: WeilDatum, s: int, u: int, t, d: int = 1, r: int = 1):
         n, t = datum.poly.degree, tuple(sorted(int(x) for x in t))
         if len(t) != n:
             raise ValueError("t must have one entry per eigenvalue")
         if not 0 <= s <= u:
-            raise ValueError(f"need 0 <= s <= u, got s={brief(s)}, u={brief(u)}")
+            raise PreconditionError(f"need 0 <= s <= u, got s={brief(s)}, u={brief(u)}")
         if any(not 0 <= tk <= r * u for tk in t):
-            raise ValueError(f"every t_k must lie in [0, r*u] = [0, {brief(r * u)}]")
-        if datum.q % ell == 0:
-            raise ValueError("ell must not divide q")
+            raise PreconditionError(f"every t_k must lie in [0, r*u] = [0, {brief(r * u)}]")
         if n == 0:
-            raise ValueError("poly must have degree at least 1")
+            raise PreconditionError("poly must have degree at least 1")
         if d < 1:
-            raise ValueError(f"d must be positive, got {brief(d)}")
+            raise PreconditionError(f"d must be positive, got {brief(d)}")
         M = size_exponent(n, r, datum.weight_budget)
         if (bound := lemma_bound(n, prime_power_base(datum.q), d, M, u)) is None:
             raise PreconditionError(f"bound 2*c_n*ell0^(d*M*u) has more than {DIGIT_LIMIT} digits")
-        return super().__new__(cls, datum, s, u, t, ell, d, r, bound)
+        return super().__new__(cls, datum, s, u, t, d, r, bound)
 
 
 # outcome is "ForcedEqual", "CongruentBelowBound" or "NotCongruent";
@@ -57,26 +57,29 @@ GateVerdict = namedtuple("GateVerdict", "outcome bound congruent matched_weights
                          defaults=(None,))
 
 
-def forced_equality(inst: CongruenceInstance) -> GateVerdict:
-    """Decide whether the mod-ell congruence forces exact equality.
+def forced_equality(inst: CongruenceInstance, ell: int) -> GateVerdict:
+    """Decide whether the congruence mod the prime ell forces exact equality.
 
     The s-th-power transform of the characteristic polynomial is compared,
     coefficient by coefficient mod ell, with prod (T - q^{t_k}).  Congruent
     and ell above the bound means the two must agree over the integers,
     and then the matched weights s*w_k/2 are the sorted t; a failure of
     either check is an InternalConsistencyError (possible only for an
-    implementation bug: the datum was validated when built).
+    implementation bug: the datum was validated when built).  An ell that
+    divides q is a PreconditionError.
     """
+    if inst.datum.q % ell == 0:
+        raise PreconditionError("ell must not divide q")
     bound = inst.bound
     lhs = power_transform(inst.datum.poly, inst.s)
     rhs = from_prime_power_roots(inst.datum.q, inst.t)
-    if any((a - b) % inst.ell for a, b in zip(lhs.coeffs, rhs.coeffs)):
+    if any((a - b) % ell for a, b in zip(lhs.coeffs, rhs.coeffs)):
         return GateVerdict("NotCongruent", bound, False)
-    if inst.ell <= bound:
+    if ell <= bound:
         return GateVerdict("CongruentBelowBound", bound, True)
     if lhs != rhs:
         raise InternalConsistencyError(
-            f"congruent mod {inst.ell} above bound {bound} but not equal: "
+            f"congruent mod {ell} above bound {bound} but not equal: "
             f"{list(lhs.coeffs)} vs {list(rhs.coeffs)}")
     # |alpha_k|^(2s) = q^(s*w_k) and |q^(t_k)|^2 = q^(2*t_k): both sorted, they agree
     if [inst.s * w for w in inst.datum.weights] != [2 * tk for tk in inst.t]:
@@ -102,14 +105,15 @@ def counterexample_search(
     s_max: int,
     ell_max: int,
     budget: int = 10_000_000,
-) -> list[CongruenceInstance]:
+) -> list[tuple[CongruenceInstance, int]]:
     """Exhaustive sweep for congruent-but-not-equal instances.
 
     Corpus: products of weight-1 Weil quadratics at q (degree n), s in
     [1, s_max] with u = s and r = 1, all sorted t-multisets with entries in
     [0, r*u], all primes ell <= ell_max not dividing q.  Returns every
-    congruent instance where exact equality fails; `forced_equality` checks
-    that each sits at or below its forcing bound.
+    (instance, ell) that is congruent where exact equality fails, one
+    instance per congruent cell; `forced_equality` checks that each ell sits
+    at or below the instance's forcing bound.
     """
     if n < 2 or n % 2 != 0 or n > 4:
         raise ValueError("n must be 2 or 4")
@@ -128,7 +132,7 @@ def counterexample_search(
     if not corpus_size:
         return []
 
-    found: list[CongruenceInstance] = []
+    found: list[tuple[CongruenceInstance, int]] = []
     for poly in _weight_one_products(q, n):
         datum = WeilDatum(poly, q, (1,) * n, weight_budget=n)
         for s in range(1, s_max + 1):
@@ -139,10 +143,11 @@ def counterexample_search(
                     continue
                 # read once: a named-tuple field read costs a descriptor call
                 lc, rc = lhs.coeffs, rhs.coeffs
+                inst = None
                 for ell in primes:
                     if all((a - b) % ell == 0 for a, b in zip(lc, rc)):
-                        inst = CongruenceInstance(datum, s, s, t, ell)
-                        forced_equality(inst)  # raises if ell > bound: the lemma forbids it
-                        found.append(inst)
-    found.sort(key=lambda i: (i.datum.poly.coeffs, i.s, i.t, i.ell))
+                        inst = inst or CongruenceInstance(datum, s, s, t)  # one per cell
+                        forced_equality(inst, ell)  # raises if ell > bound: the lemma forbids it
+                        found.append((inst, ell))
+    found.sort(key=lambda hit: (hit[0].datum.poly.coeffs, hit[0].s, hit[0].t, hit[1]))
     return found

@@ -83,15 +83,15 @@ def test_criterion_3_lemma_soundness_at_desk_scale():
     for n in (2, 4):
         found = counterexample_search(2, n, 2, 200)
         # every returned instance is congruent-but-unequal and sub-bound
-        for inst in found:
+        for inst, ell in found:
             bound = lemma_bound(n, 2, 1, size_exponent(n, 1, n), inst.u)
-            assert inst.ell <= bound, (inst, bound)
+            assert ell <= bound, (inst, ell, bound)
         total_sub_bound += len(found)
         if n == 2:
             worked_instance_seen = any(
                 inst.datum.poly.coeffs == (2, 1, 1)
-                and inst.s == 2 and inst.t == (1, 1) and inst.ell == 7
-                for inst in found)
+                and inst.s == 2 and inst.t == (1, 1) and ell == 7
+                for inst, ell in found)
     assert worked_instance_seen
     assert total_sub_bound >= 1
     report(f"criterion 3: zero above-bound violations, {total_sub_bound} "

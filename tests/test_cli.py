@@ -209,7 +209,7 @@ def test_precondition_exit_3(capsys):
 def test_internal_consistency_exit_4(capsys, monkeypatch):
     from semistable_gate.errors import InternalConsistencyError
 
-    def boom(inst):
+    def boom(inst, ell):
         raise InternalConsistencyError("synthetic")
 
     # _cmd_gate imports forced_equality from gate when it runs
@@ -612,6 +612,21 @@ def test_gate_validates_its_datum_once_per_document(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_gate_builds_its_bound_once_per_document(capsys, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lemma_bound(*args)
+
+    lemma_bound = gate.lemma_bound
+    monkeypatch.setattr(gate, "lemma_bound", counted)
+    doc = {"query": dict(GATE, ell=[7, 11, 13, 17, 19])}
+    code, out, _ = run_cli(capsys, "gate", doc)
+    assert code == 0 and len(json.loads(out)["verdicts"]) == 5
+    assert len(calls) == 1
+
+
 def test_gate_refuses_an_invalid_datum_without_an_ell(capsys):
     doc = {"query": dict(GATE, poly=[2, 5, 1], ell=[])}
     assert run_cli(capsys, "gate", doc) == (
@@ -815,8 +830,15 @@ RT_FIELD = {"d": 1, "disc": 1, "h_plus": 1}
     ("etale", {"field": RT_FIELD, "query": {"b_w": 2, "ell_X": 2, "w": -1, "ell": []}}, 3,
      "precondition failure: w must be positive, got -1"),
     ("gate", {"query": dict(GATE, d=0)}, 3, "precondition failure: d must be positive, got 0"),
+    # the instance is built once per document, so an empty ell list does not skip its checks
+    ("gate", {"query": dict(GATE, d=-1, ell=[])}, 3,
+     "precondition failure: d must be positive, got -1"),
+    ("gate", {"query": dict(GATE, s=10 ** 5, u=10 ** 5, ell=[])}, 3,
+     "precondition failure: bound 2*c_n*ell0^(d*M*u) has more than 4300 digits"),
+    ("gate", {"query": dict(GATE, t=[1])}, 2, "schema error: t must have one entry per eigenvalue"),
 ], ids=["non-object-root", "rt-variant", "rt-missing-ell0", "gate-invalid-datum",
-        "weil-check-weights", "power-transform-s", "etale-w-negative", "gate-d-zero"])
+        "weil-check-weights", "power-transform-s", "etale-w-negative", "gate-d-zero",
+        "gate-d-negative-without-an-ell", "gate-s-u-10-5-without-an-ell", "gate-t-length"])
 def test_refused_documents_name_their_fault(capsys, command, raw, code, message):
     assert run_cli(capsys, command, raw) == (code, "", message + "\n")
 

@@ -41,8 +41,8 @@ def test_size_exponent():
 def test_symmetric_congruence_examples():
     d = quad_datum()
     # T^2+3T+4 vs T^2-4T+4: 3 == -4 mod 7 only
-    assert forced_equality(CongruenceInstance(d, 2, 2, (1, 1), 7)).congruent
-    assert not forced_equality(CongruenceInstance(d, 2, 2, (1, 1), 5)).congruent
+    assert forced_equality(CongruenceInstance(d, 2, 2, (1, 1)), 7).congruent
+    assert not forced_equality(CongruenceInstance(d, 2, 2, (1, 1)), 5).congruent
 
 
 def test_symmetric_congruence_reflexive_on_equality():
@@ -52,12 +52,12 @@ def test_symmetric_congruence_reflexive_on_equality():
         for ell in (7, 101, 9973):
             if q % ell == 0:
                 continue
-            inst = CongruenceInstance(datum, 1, 1, (j,), ell, r=max(j, 1))
-            assert forced_equality(inst).congruent
+            inst = CongruenceInstance(datum, 1, 1, (j,), r=max(j, 1))
+            assert forced_equality(inst, ell).congruent
 
 
 def test_forced_equality_below_bound():
-    v = forced_equality(CongruenceInstance(quad_datum(), 2, 2, (1, 1), 7))
+    v = forced_equality(CongruenceInstance(quad_datum(), 2, 2, (1, 1)), 7)
     assert v.outcome == "CongruentBelowBound"
     assert v.bound == 64 and v.congruent
 
@@ -65,7 +65,7 @@ def test_forced_equality_below_bound():
 def test_forced_equality_exact():
     poly = poly_mul(IntPolynomial((-2, 1)), IntPolynomial((-4, 1)))
     datum = WeilDatum(poly, 2, (2, 4), 6)
-    v = forced_equality(CongruenceInstance(datum, 1, 1, (1, 2), 101, r=2))
+    v = forced_equality(CongruenceInstance(datum, 1, 1, (1, 2), r=2), 101)
     assert v.outcome == "ForcedEqual"
     assert v.matched_weights == (1, 2)
     assert sum(v.matched_weights) * 2 == 1 * sum(datum.weights)
@@ -77,46 +77,56 @@ def test_forced_equality_with_unmatched_weights_is_a_lemma_violation(monkeypatch
     monkeypatch.setattr(weil, "validate_weights", lambda poly, q, weights: True)
     datum = WeilDatum(IntPolynomial((-4, 0, 1)), 2, (1, 3), 4)
     with pytest.raises(InternalConsistencyError, match=r"s\*w = 2 \* \[1, 3\] is not 2\*t = 2 \* \[2, 2\]"):
-        forced_equality(CongruenceInstance(datum, 2, 2, (2, 2), 67))
+        forced_equality(CongruenceInstance(datum, 2, 2, (2, 2)), 67)
 
 
 def test_forced_equality_not_congruent():
-    v = forced_equality(CongruenceInstance(quad_datum(), 1, 1, (0, 0), 101))
+    v = forced_equality(CongruenceInstance(quad_datum(), 1, 1, (0, 0)), 101)
     assert v.outcome == "NotCongruent"
     assert not v.congruent
 
 
 def test_instance_validation():
     d = quad_datum()
-    with pytest.raises(ValueError):
-        CongruenceInstance(d, 3, 2, (1, 1), 7)      # s > u
-    with pytest.raises(ValueError):
-        CongruenceInstance(d, 1, 1, (2, 0), 7)      # t_k > r*u
-    with pytest.raises(ValueError):
-        CongruenceInstance(d, 1, 1, (1, 1), 2)      # ell divides q
-    with pytest.raises(ValueError):
-        CongruenceInstance(d, 1, 1, (1,), 7)        # wrong t size
+    with pytest.raises(PreconditionError):
+        CongruenceInstance(d, 3, 2, (1, 1))         # s > u
+    with pytest.raises(PreconditionError):
+        CongruenceInstance(d, 1, 1, (2, 0))         # t_k > r*u
+    with pytest.raises(PreconditionError, match=r"^d must be positive, got -1$"):
+        CongruenceInstance(quad_datum(), 1, 1, (1, 1), d=-1)  # field degree -1
+    with pytest.raises(ValueError) as wrong_size:
+        CongruenceInstance(d, 1, 1, (1,))           # wrong t size
+    assert not isinstance(wrong_size.value, PreconditionError)
     constant = WeilDatum(IntPolynomial((1,)), 2, (), 0)
-    with pytest.raises(ValueError, match=r"^poly must have degree at least 1$"):
-        CongruenceInstance(constant, 1, 1, (), 7)   # no eigenvalue
+    with pytest.raises(PreconditionError, match=r"^poly must have degree at least 1$"):
+        CongruenceInstance(constant, 1, 1, ())      # no eigenvalue
+
+
+def test_forced_equality_refuses_an_ell_dividing_q():
+    inst = CongruenceInstance(quad_datum(), 1, 1, (1, 1))
+    with pytest.raises(PreconditionError, match=r"^ell must not divide q$"):
+        forced_equality(inst, 2)
+    four = WeilDatum(IntPolynomial((4, 1, 1)), 4, (1, 1), 2)
+    with pytest.raises(PreconditionError, match=r"^ell must not divide q$"):
+        forced_equality(CongruenceInstance(four, 1, 1, (0, 1)), 2)
 
 
 def test_counterexample_search_contains_worked_instance():
     found = counterexample_search(2, 2, 2, 100)
     assert any(
-        f.datum.poly.coeffs == (2, 1, 1) and f.s == 2 and f.t == (1, 1) and f.ell == 7
-        for f in found)
+        f.datum.poly.coeffs == (2, 1, 1) and f.s == 2 and f.t == (1, 1) and ell == 7
+        for f, ell in found)
 
 
 def test_counterexample_search_all_sub_bound():
     for n in (2, 4):
-        for inst in counterexample_search(2, n, 2, 200):
+        for inst, ell in counterexample_search(2, n, 2, 200):
             M = size_exponent(n, 1, n)
-            assert inst.ell <= lemma_bound(n, 2, 1, M, inst.u)
+            assert ell <= lemma_bound(n, 2, 1, M, inst.u)
 
 
 def test_counterexample_search_excludes_exact_equality():
-    for inst in counterexample_search(2, 2, 1, 3):
+    for inst, _ in counterexample_search(2, 2, 1, 3):
         from semistable_gate.intpoly import power_transform
         lhs = power_transform(inst.datum.poly, inst.s)
         rhs = from_prime_power_roots(2, inst.t)
@@ -126,8 +136,8 @@ def test_counterexample_search_excludes_exact_equality():
 def test_counterexample_search_deterministic_order():
     a = counterexample_search(2, 2, 2, 100)
     b = counterexample_search(2, 2, 2, 100)
-    assert [(i.datum.poly.coeffs, i.s, i.t, i.ell) for i in a] == \
-           [(i.datum.poly.coeffs, i.s, i.t, i.ell) for i in b]
+    assert [(i.datum.poly.coeffs, i.s, i.t, ell) for i, ell in a] == \
+           [(i.datum.poly.coeffs, i.s, i.t, ell) for i, ell in b]
 
 
 def test_counterexample_search_budget():
@@ -139,8 +149,8 @@ def test_counterexample_search_budget():
 @settings(max_examples=40, deadline=None)
 def test_forced_equal_never_fires_at_or_below_bound(ell, s):
     d = quad_datum()
-    inst = CongruenceInstance(d, s, s, (1,) * 2 if s == 1 else (1, 1), ell)
-    v = forced_equality(inst)
+    inst = CongruenceInstance(d, s, s, (1,) * 2 if s == 1 else (1, 1))
+    v = forced_equality(inst, ell)
     if v.outcome == "ForcedEqual":
         assert ell > v.bound
 
@@ -149,18 +159,18 @@ def test_an_instance_past_the_digit_limit_is_refused_when_built():
     # 2*c_2*2^(2*10^5) has about 60,000 digits
     message = r"^bound 2\*c_n\*ell0\^\(d\*M\*u\) has more than 4300 digits$"
     with pytest.raises(PreconditionError, match=message):
-        CongruenceInstance(quad_datum(), 10 ** 5, 10 ** 5, (1, 1), 7)
+        CongruenceInstance(quad_datum(), 10 ** 5, 10 ** 5, (1, 1))
 
 
 @pytest.mark.parametrize("u,d,r", [(2, 1, 1), (3, 2, 1), (1, 1, 2), (2, 1, 0), (5, 3, 1)])
 def test_the_bound_is_a_field_with_its_closed_form(u, d, r):
     # n = 2 and weight budget 2, so M = max(2r, 1); c_2 = 2 and ell0 = 2
-    inst = CongruenceInstance(quad_datum(), 1, u, (0, 0), 7, d=d, r=r)
-    assert "bound" in CongruenceInstance._fields
+    inst = CongruenceInstance(quad_datum(), 1, u, (0, 0), d=d, r=r)
+    assert "bound" in CongruenceInstance._fields and "ell" not in CongruenceInstance._fields
     assert inst.bound == 2 * 2 * 2 ** (d * max(2 * r, 1) * u)
     # T^2 + 9: roots +-3i of absolute value 9^(1/2), so ell0 = 3
     nine = WeilDatum(IntPolynomial((9, 0, 1)), 9, (1, 1), 2)
-    nine = CongruenceInstance(nine, 1, u, (0, 0), 7, d=d, r=r)
+    nine = CongruenceInstance(nine, 1, u, (0, 0), d=d, r=r)
     assert nine.bound == 2 * 2 * 3 ** (d * max(2 * r, 1) * u)
 
 

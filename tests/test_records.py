@@ -1,6 +1,7 @@
 """The contract of the package's immutable records: fields cannot be
 assigned, equal records are equal and hash alike, keyword and default
-construction work, invalid arguments raise ValueError with a fixed message,
+construction work, invalid arguments raise ValueError with a fixed message
+(a gate's ell by `forced_equality`, as a `CongruenceInstance` has none),
 and the fields that are normalised (coerced to int, sorted) stay so."""
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from semistable_gate.bounds import (
     Verdict,
     derived_constants,
 )
-from semistable_gate.gate import CongruenceInstance, GateVerdict
+from semistable_gate.gate import CongruenceInstance, GateVerdict, forced_equality
 from semistable_gate.intpoly import IntPolynomial
 from semistable_gate.tame import TameCharacterExponent
 from semistable_gate.weil import WeilDatum
@@ -32,7 +33,7 @@ RECORDS = [
     (Verdict("NotDecided", "Cor2", None, 0, ()), "conclusion"),
     (Setting("Ell", (16, 16), {"degree_odd": True}), "thresholds"),
     (QUAD, "coeffs"),
-    (CongruenceInstance(DATUM, 2, 2, (1, 1), 7), "t"),
+    (CongruenceInstance(DATUM, 2, 2, (1, 1)), "t"),
     (GateVerdict("NotCongruent", 64, False), "bound"),
     (DATUM, "weights"),
     (TameCharacterExponent(5, 2, 7), "exponent"),
@@ -50,7 +51,8 @@ def test_equality_and_hashing():
         QUAD, IntPolynomial((3, 1, 1))}
     assert WeilDatum(QUAD, 2, (1, 1), 2) == DATUM
     assert hash(WeilDatum(QUAD, 2, [1, 1], 2)) == hash(DATUM)
-    assert CongruenceInstance(DATUM, 2, 2, (1, 1), 7) != CongruenceInstance(DATUM, 2, 2, (1, 1), 11)
+    assert CongruenceInstance(DATUM, 2, 2, (1, 1)) == CongruenceInstance(DATUM, 2, 2, [1, 1])
+    assert CongruenceInstance(DATUM, 2, 2, (1, 1)) != CongruenceInstance(DATUM, 2, 3, (1, 1))
 
 
 def test_keyword_and_default_construction():
@@ -58,9 +60,9 @@ def test_keyword_and_default_construction():
     p = RepFamilyParams(n=2, ell0=2, r=1, variant="circle", w_bar=3)
     assert (p.w, p.w_bar, p.cyclotomic, p.weight_budget) == (None, 3, False, 3)
     assert BULLET.weight_budget == 2
-    inst = CongruenceInstance(datum=DATUM, s=1, u=1, t=(0, 1), ell=7)
+    inst = CongruenceInstance(datum=DATUM, s=1, u=1, t=(0, 1))
     assert (inst.d, inst.r) == (1, 1)
-    assert CongruenceInstance(DATUM, 1, 1, (0, 2), 7, r=2).r == 2
+    assert CongruenceInstance(DATUM, 1, 1, (0, 2), r=2).r == 2
     assert GateVerdict("NotCongruent", 64, False).matched_weights is None
     assert Setting("Ell", (16, 16), {})[3:] == (None, None)  # disc, ell0
     assert TameCharacterExponent(ell=5, level=2, exponent=7).modulus == 24
@@ -85,11 +87,11 @@ def test_keyword_and_default_construction():
     (lambda: WeilDatum(QUAD, 2, (1,), 2), "weight multiset size must equal the polynomial degree"),
     (lambda: WeilDatum(QUAD, 2, (-1, 1), 2), "weights must be non-negative"),
     (lambda: WeilDatum(QUAD, 2, (1, 2), 2), "total weight 3 exceeds budget 2"),
-    (lambda: CongruenceInstance(DATUM, 1, 1, (1,), 7), "t must have one entry per eigenvalue"),
-    (lambda: CongruenceInstance(DATUM, 3, 2, (1, 1), 7), "need 0 <= s <= u, got s=3, u=2"),
-    (lambda: CongruenceInstance(DATUM, 1, 1, (2, 0), 7),
+    (lambda: CongruenceInstance(DATUM, 1, 1, (1,)), "t must have one entry per eigenvalue"),
+    (lambda: CongruenceInstance(DATUM, 3, 2, (1, 1)), "need 0 <= s <= u, got s=3, u=2"),
+    (lambda: CongruenceInstance(DATUM, 1, 1, (2, 0)),
      "every t_k must lie in [0, r*u] = [0, 1]"),
-    (lambda: CongruenceInstance(DATUM, 1, 1, (1, 1), 2), "ell must not divide q"),
+    (lambda: forced_equality(CongruenceInstance(DATUM, 1, 1, (1, 1)), 2), "ell must not divide q"),
     (lambda: TameCharacterExponent(4, 2, 7), "ell = 4 is not prime"),
     (lambda: TameCharacterExponent(5, 0, 0), "level must be positive"),
     (lambda: TameCharacterExponent(5, 2, 24), "exponent must lie in [0, 23], got 24"),
@@ -104,7 +106,7 @@ def test_normalisation():
     assert DATUM.weights == (1, 1)
     # (T - 1)(T - 2) at q = 2: |1| = 2^(0/2) and |2| = 2^(2/2)
     assert WeilDatum(IntPolynomial((2, -3, 1)), 2, [2, 0], 2).weights == (0, 2)
-    assert CongruenceInstance(DATUM, 1, 1, [1, 0], 7).t == (0, 1)
+    assert CongruenceInstance(DATUM, 1, 1, [1, 0]).t == (0, 1)
     poly = IntPolynomial([Fraction(4, 2), True, Fraction(1)])
     assert poly.coeffs == (2, 1, 1) and all(type(c) is int for c in poly.coeffs)
     assert poly == QUAD
