@@ -23,12 +23,15 @@ holds: a family outside a theorem's domain is a precondition failure.
 A process pays only for its command: `main` builds only the subparser of
 the command argv names (all ten for help, no command or an unknown one),
 and the handlers import `gate`, `weil`, `intpoly` and `tame` when they run.
+Nor does it pay after its answer: `run`, the process entry point, ends with
+`os._exit` once both streams are flushed, skipping interpreter teardown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import namedtuple
@@ -80,13 +83,26 @@ def main(argv: list[str] | None = None) -> int:
     try:
         print(text, flush=True)
     except BrokenPipeError:
-        # the reader is gone: send the flush at shutdown to nowhere, not a traceback
+        # the reader is gone: send the last flush to nowhere, not a traceback
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print("output failure: standard output is closed", file=sys.stderr)
         return 4
     return 0
+
+
+def run() -> None:
+    """The process entry point (`python -m semistable_gate.cli` and the
+    console script): `main`, both streams flushed, then `os._exit` with its
+    code, so no interpreter teardown follows the certificate and no atexit
+    handler runs.  A SystemExit (help, usage errors) or an uncaught exception
+    leaves through the normal exit."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the process started with that descriptor closed
+            stream.flush()
+    os._exit(code)
 
 
 def _build_parser(names) -> argparse.ArgumentParser:
@@ -295,6 +311,14 @@ def _cmd_power_transform(inv, p, query, args) -> dict:
     # the result's constant term is +-c_0^s: refused unbuilt past the digit limit
     if min_digits((abs(poly.coeffs[0]).bit_length() - 1) * s) > DIGIT_LIMIT:
         raise PreconditionError(f"query.s = {brief(s)}: c_0^s has more than {DIGIT_LIMIT} digits")
+    # and so is a result that Mahler measures bound past it: for degree n, M(g) >=
+    # |g|_inf / C(n, n//2), M(f_s) >= M(f_16)^(s//16) and |f_s|_inf >= M(f_s) / sqrt(n+1)
+    if s >= 16:
+        n, top = poly.degree, max(map(abs, power_transform(poly, 16).coeffs))
+        per_16 = top.bit_length() - 1 - math.comb(n, n // 2).bit_length()  # <= log2 M(f_16)
+        if min_digits((s // 16) * per_16 - (n + 1).bit_length()) > DIGIT_LIMIT:
+            raise PreconditionError(
+                f"query.s = {brief(s)}: f_s has a coefficient of more than {DIGIT_LIMIT} digits")
     return {"result": list(_record(power_transform, poly, s).coeffs)}
 
 
@@ -375,4 +399,4 @@ COMMANDS = {
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

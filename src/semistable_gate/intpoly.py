@@ -11,8 +11,9 @@ equal by value) that checks and coerces its coefficients to int when built.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
-from collections.abc import Iterable, Sequence
+from collections import deque, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import count, islice
 from operator import mul
 
 from .errors import InternalConsistencyError
@@ -103,18 +104,22 @@ def real_root_count(p: Sequence[int], lo: int, hi: int) -> int:
 
 
 def power_sums(f: IntPolynomial, m: int) -> tuple[int, ...]:
-    """p_1, ..., p_m, the sums of the j-th powers of f's roots, by Newton's
-    identities on f's coefficients a_i:
-    p_j + a_{n-1} p_{j-1} + ... + a_{n-j+1} p_1 + j a_{n-j} = 0,
-    with a_{n-j} = 0 past j = n."""
+    """p_1, ..., p_m, the sums of the j-th powers of f's roots."""
+    return tuple(islice(_newton_sums(f), m))
+
+
+def _newton_sums(f: IntPolynomial) -> Iterator[int]:
+    """p_1, p_2, ... without end, by Newton's identities on f's coefficients
+    a_i: p_j + a_{n-1} p_{j-1} + ... + a_{n-j+1} p_1 + j a_{n-j} = 0, with
+    a_{n-j} = 0 past j = n.  Only the last n sums are kept."""
     a = f.coeffs[-2::-1]  # a_{n-1}, ..., a_0
-    p: list[int] = []
-    for j in range(1, m + 1):
-        acc = sum(map(mul, a, reversed(p)))
+    last: deque[int] = deque(maxlen=len(a))  # p_{j-1}, ..., p_{j-n}
+    for j in count(1):
+        acc = sum(map(mul, a, last))
         if j <= len(a):
             acc += j * a[j - 1]
-        p.append(-acc)
-    return tuple(p)
+        last.appendleft(-acc)
+        yield -acc
 
 
 def from_power_sums(p: Sequence[int], n: int) -> IntPolynomial:
@@ -136,7 +141,8 @@ def from_power_sums(p: Sequence[int], n: int) -> IntPolynomial:
 
 def power_transform(f: IntPolynomial, s: int) -> IntPolynomial:
     """Monic integer polynomial whose roots are the s-th powers of f's roots:
-    from p_s, p_2s, ..., p_ns.  s = 0 sends every root to 1, giving (T-1)^n."""
+    from p_s, p_2s, ..., p_ns, read off the stream of power sums.  s = 0 sends
+    every root to 1, giving (T-1)^n."""
     if s < 0:
         raise ValueError("s must be non-negative")
     n = f.degree
@@ -144,7 +150,7 @@ def power_transform(f: IntPolynomial, s: int) -> IntPolynomial:
         return IntPolynomial((-1) ** (n - i) * math.comb(n, i) for i in range(n + 1))
     if s == 1:
         return f
-    return from_power_sums(power_sums(f, n * s)[s - 1::s], n)
+    return from_power_sums(tuple(islice(_newton_sums(f), s - 1, n * s, s)), n)
 
 
 def from_prime_power_roots(q: int, t: Iterable[int]) -> IntPolynomial:

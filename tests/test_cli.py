@@ -10,6 +10,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from golden_cases import CASES, OTHER_CASES
 from semistable_gate import cli, gate, intpoly
 from semistable_gate.intpoly import IntPolynomial, poly_mul
 
@@ -484,7 +485,8 @@ def test_ell_flag_on_a_non_object_query_exits_2(capsys, query):
     assert code == 2 and out == "" and "query must be a JSON object" in err
 
 
-def _cli_process(doc: str, *argv, limit_bytes: int | None = None, cpu_seconds: int | None = None):
+def _cli_process(doc: str | bytes, *argv, limit_bytes: int | None = None,
+                 cpu_seconds: int | None = None, text: bool = True):
     def limit():
         # set in the child only, between fork and exec
         if limit_bytes:
@@ -494,7 +496,7 @@ def _cli_process(doc: str, *argv, limit_bytes: int | None = None, cpu_seconds: i
 
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     return subprocess.run([sys.executable, "-m", "semistable_gate.cli", *argv],
-                          input=doc, capture_output=True, text=True, timeout=60,
+                          input=doc, capture_output=True, text=text, timeout=60,
                           preexec_fn=limit if limit_bytes or cpu_seconds else None,
                           env={**os.environ, "PYTHONPATH": str(src)})
 
@@ -651,13 +653,28 @@ def test_gate_refuses_an_invalid_datum_without_an_ell(capsys):
      "precondition failure: query.s = 30000: c_0^s has more than 4300 digits\n"),
     ("power-transform", {"query": {"poly": [2, 0, 1], "s": 3 * 10 ** 5}}, 3,
      "precondition failure: query.s = 300000: c_0^s has more than 4300 digits\n"),
+    # c_0 = 1, but M(f)^s = phi^(2s) has about 41,800 digits: Mahler bounds give 37,628
+    ("power-transform", {"query": {"poly": [1, 3, 1], "s": 10 ** 5}}, 3,
+     "precondition failure: query.s = 100000: f_s has a coefficient of more than 4300 digits\n"),
 ], ids=["constants-d-h-1000", "weil-check-q-3800-digits", "gate-s-u-10-5", "gate-r-10-9",
-        "power-transform-s-3e4", "power-transform-s-3e5"])
+        "power-transform-s-3e4", "power-transform-s-3e5", "power-transform-unit-c0-s-1e5"])
 def test_large_documents_are_refused_at_once(capsys, command, doc, code, message):
     start = time.perf_counter()
     result = run_cli(capsys, command, doc)
     assert time.perf_counter() - start < 0.5
     assert result == (code, "", message)
+
+
+def test_a_power_transform_under_the_digit_limit_is_built(capsys):
+    # T^2 + 3T + 1 has the roots -phi^2 and -phi^-2, so at even s its transform
+    # is T^2 - L_2s T + 1 (Lucas numbers); L_20000 has 4180 digits
+    lucas, after = 2, 1
+    for _ in range(2 * 10 ** 4):
+        lucas, after = after, lucas + after
+    code, out, _ = run_cli(capsys, "power-transform", {"query": {"poly": [1, 3, 1], "s": 10 ** 4}})
+    assert code == 0 and json.loads(out)["result"] == [1, -lucas, 1]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b21770a80c46090a8b6475eaad0e5b0cdcb2dbd7c032cbe30653858b02fda0b4")
 
 
 def _not_decided(theorem: str, trace: str) -> dict:
@@ -812,35 +829,89 @@ def test_a_closed_stdout_exits_4_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (4, "output failure: standard output is closed\n")
 
 
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+GOLDEN = [(name, command, doc) for name, command, doc, _ in CASES + OTHER_CASES]
+
+
+# the certificate through the process's own exit path, stdout on a pipe
+@pytest.mark.parametrize("name,command,doc", GOLDEN, ids=[name for name, _, _ in GOLDEN])
+def test_golden_certificates_leave_the_process_whole(name, command, doc):
+    proc = _cli_process(json.dumps(doc).encode(), command, text=False)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_a_certificate_past_the_pipe_buffer_leaves_the_process_whole(capsys):
+    command, doc, _ = DIGIT_LIMIT_DOCS[1]
+    code, out, _ = run_cli(capsys, command, doc)
+    proc = _cli_process(json.dumps(doc).encode(), command, text=False)
+    assert code == proc.returncode == 0 and len(out) > 10 ** 6
+    assert proc.stdout == out.encode()
+
+
+def test_the_process_ends_without_interpreter_teardown():
+    # run ends in os._exit once both streams are flushed, so no atexit handler runs
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    code = ("import atexit, sys; from semistable_gate.cli import run; "
+            "atexit.register(print, 'teardown', file=sys.stderr); run()")
+    name, command, doc = GOLDEN[0]
+    proc = subprocess.run([sys.executable, "-c", code, command], input=json.dumps(doc).encode(),
+                          capture_output=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+def test_the_console_script_is_run():
+    # read as text: tomllib is 3.11+
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'semistable-gate = "semistable_gate.cli:run"' in pyproject.read_text().splitlines()
+
+
 RT_FIELD = {"d": 1, "disc": 1, "h_plus": 1}
 
 
-@pytest.mark.parametrize("command,raw,code,message", [
-    ("ec-irred", "[1]", 2, "schema error: document root must be a JSON object"),
-    ("rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "x", "ell": 17}}, 2,
-     "schema error: variant must be 'st' or 'st_with_ell0', got 'x'"),
-    ("rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "st_with_ell0", "ell": 17}}, 2,
-     "schema error: ell0 is required for variant 'st_with_ell0'"),
-    ("gate", {"query": dict(GATE, poly=[2, 5, 1])}, 3,
-     "precondition failure: datum fails the root absolute-value check"),
-    ("weil-check", {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1]}}, 2,
-     "schema error: weight multiset size must equal the polynomial degree"),
-    ("power-transform", {"query": {"poly": [2, 1, 1], "s": -1}}, 2,
-     "schema error: s must be non-negative"),
-    ("etale", {"field": RT_FIELD, "query": {"b_w": 2, "ell_X": 2, "w": -1, "ell": []}}, 3,
-     "precondition failure: w must be positive, got -1"),
-    ("gate", {"query": dict(GATE, d=0)}, 3, "precondition failure: d must be positive, got 0"),
+# id -> (command, document, exit code, the one line on stderr)
+REFUSED = {
+    "non-object-root": ("ec-irred", "[1]", 2, "schema error: document root must be a JSON object"),
+    "rt-variant": ("rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "x", "ell": 17}}, 2,
+                   "schema error: variant must be 'st' or 'st_with_ell0', got 'x'"),
+    "rt-missing-ell0": (
+        "rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "st_with_ell0", "ell": 17}}, 2,
+        "schema error: ell0 is required for variant 'st_with_ell0'"),
+    "gate-invalid-datum": ("gate", {"query": dict(GATE, poly=[2, 5, 1])}, 3,
+                           "precondition failure: datum fails the root absolute-value check"),
+    "weil-check-weights": (
+        "weil-check", {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1]}}, 2,
+        "schema error: weight multiset size must equal the polynomial degree"),
+    "power-transform-s": ("power-transform", {"query": {"poly": [2, 1, 1], "s": -1}}, 2,
+                          "schema error: s must be non-negative"),
+    "etale-w-negative": (
+        "etale", {"field": RT_FIELD, "query": {"b_w": 2, "ell_X": 2, "w": -1, "ell": []}}, 3,
+        "precondition failure: w must be positive, got -1"),
+    "gate-d-zero": ("gate", {"query": dict(GATE, d=0)}, 3,
+                    "precondition failure: d must be positive, got 0"),
     # the instance is built once per document, so an empty ell list does not skip its checks
-    ("gate", {"query": dict(GATE, d=-1, ell=[])}, 3,
-     "precondition failure: d must be positive, got -1"),
-    ("gate", {"query": dict(GATE, s=10 ** 5, u=10 ** 5, ell=[])}, 3,
-     "precondition failure: bound 2*c_n*ell0^(d*M*u) has more than 4300 digits"),
-    ("gate", {"query": dict(GATE, t=[1])}, 2, "schema error: t must have one entry per eigenvalue"),
-], ids=["non-object-root", "rt-variant", "rt-missing-ell0", "gate-invalid-datum",
-        "weil-check-weights", "power-transform-s", "etale-w-negative", "gate-d-zero",
-        "gate-d-negative-without-an-ell", "gate-s-u-10-5-without-an-ell", "gate-t-length"])
+    "gate-d-negative-without-an-ell": ("gate", {"query": dict(GATE, d=-1, ell=[])}, 3,
+                                       "precondition failure: d must be positive, got -1"),
+    "gate-s-u-10-5-without-an-ell": (
+        "gate", {"query": dict(GATE, s=10 ** 5, u=10 ** 5, ell=[])}, 3,
+        "precondition failure: bound 2*c_n*ell0^(d*M*u) has more than 4300 digits"),
+    "gate-t-length": ("gate", {"query": dict(GATE, t=[1])}, 2,
+                      "schema error: t must have one entry per eigenvalue"),
+}
+
+
+@pytest.mark.parametrize("command,raw,code,message", REFUSED.values(), ids=list(REFUSED))
 def test_refused_documents_name_their_fault(capsys, command, raw, code, message):
     assert run_cli(capsys, command, raw) == (code, "", message + "\n")
+
+
+@pytest.mark.parametrize("name", ["non-object-root", "gate-invalid-datum", "etale-w-negative"])
+def test_refused_documents_name_their_fault_through_the_process(name):
+    command, raw, code, message = REFUSED[name]
+    proc = _cli_process(raw if isinstance(raw, str) else json.dumps(raw), command)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
 
 
 def test_a_threshold_past_the_primality_range_is_refused_by_its_size(capsys):
