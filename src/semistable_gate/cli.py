@@ -1,7 +1,8 @@
 """Command-line front end emitting deterministic verdict certificates.
 
 Input is a strict-schema JSON document (unknown keys rejected) read from
---input or standard input; the certificate goes to standard output as
+--input or standard input, and it is the whole request: the certificate's
+`input` is that JSON as read.  The certificate goes to standard output as
 canonical JSON: sorted keys, no floats (rationals render as "p/q"), no
 timestamps.  A result section is its record's own fields (`Verdict`,
 `GateVerdict`, `DerivedConstants`), so no key is named here.  Exit codes:
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import namedtuple
@@ -40,6 +40,7 @@ from . import __version__
 from .bounds import (
     FieldInvariants,
     RepFamilyParams,
+    central_binomial,
     cor1_setting,
     cor2_setting,
     decide,
@@ -115,12 +116,9 @@ def _build_parser(names) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", metavar=metavar)
     for name in names:
-        helptext, handler, sections = COMMANDS[name]
+        helptext, handler, _ = COMMANDS[name]
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--input", help="JSON document path (default: stdin)")
-        if "ell" in sections.get("query", (None, {}))[1]:
-            p.add_argument("--ell", type=int, action="append",
-                           help="override/add a prime ell to the query (repeatable)")
         if isinstance(handler, _Decision):
             p.add_argument("--min-ell", action="store_true",
                            help="add the least prime certified Empty (null if none is)")
@@ -144,12 +142,6 @@ def _load_document(args: argparse.Namespace) -> dict:
         raise SchemaError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError("document root must be a JSON object")
-    if getattr(args, "ell", None):
-        query = doc.setdefault("query", {})
-        if not isinstance(query, dict):
-            raise SchemaError("query must be a JSON object")
-        existing = query.get("ell")
-        query["ell"] = _as_list(existing) + args.ell if existing is not None else list(args.ell)
     return doc
 
 
@@ -311,12 +303,16 @@ def _cmd_power_transform(inv, p, query, args) -> dict:
     # the result's constant term is +-c_0^s: refused unbuilt past the digit limit
     if min_digits((abs(poly.coeffs[0]).bit_length() - 1) * s) > DIGIT_LIMIT:
         raise PreconditionError(f"query.s = {brief(s)}: c_0^s has more than {DIGIT_LIMIT} digits")
-    # and so is a result that Mahler measures bound past it: for degree n, M(g) >=
-    # |g|_inf / C(n, n//2), M(f_s) >= M(f_16)^(s//16) and |f_s|_inf >= M(f_s) / sqrt(n+1)
-    if s >= 16:
-        n, top = poly.degree, max(map(abs, power_transform(poly, 16).coeffs))
-        per_16 = top.bit_length() - 1 - math.comb(n, n // 2).bit_length()  # <= log2 M(f_16)
-        if min_digits((s // 16) * per_16 - (n + 1).bit_length()) > DIGIT_LIMIT:
+    # and so is a result that Mahler measures bound past it, tried on f itself before
+    # f_16 is built: for degree n, M(g) >= |g|_inf / C(n, n//2), M(f_s) >= M(f_k)^(s//k)
+    # and |f_s|_inf >= M(f_s) / sqrt(n+1)
+    n = poly.degree
+    for k in (1, 16):
+        if k > s or n == 0:  # f_0 is (T-1)^n, and f = 1 is its own f_s
+            break
+        top = max(map(abs, power_transform(poly, k).coeffs))
+        per_k = top.bit_length() - 1 - central_binomial(n).bit_length()  # <= log2 M(f_k)
+        if min_digits((s // k) * per_k - (n + 1).bit_length()) > DIGIT_LIMIT:
             raise PreconditionError(
                 f"query.s = {brief(s)}: f_s has a coefficient of more than {DIGIT_LIMIT} digits")
     return {"result": list(_record(power_transform, poly, s).coeffs)}

@@ -5,7 +5,8 @@ synthetic division by T - x, gcds and Sturm real-root counts.  All
 coefficient arithmetic uses Python ints, so nothing here can overflow.
 Coefficients are stored lowest degree first: ``coeffs[i]`` is the
 coefficient of T^i.  `IntPolynomial` is a named tuple (immutable, hashable,
-equal by value) that checks and coerces its coefficients to int when built.
+equal by value) that checks and coerces its coefficients to int when built,
+and refuses a degree past DEGREE_CAP there, so every polynomial meets it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import count, islice
 from operator import mul
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, PreconditionError
+
+DEGREE_CAP = 64
 
 
 class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
@@ -30,6 +33,8 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
             raise ValueError("empty coefficient sequence")
         if coeffs[-1] != 1:
             raise ValueError(f"polynomial is not monic: leading coefficient {coeffs[-1]}")
+        if len(coeffs) > DEGREE_CAP + 1:
+            raise PreconditionError(f"degree {len(coeffs) - 1} exceeds cap {DEGREE_CAP}")
         return super().__new__(cls, coeffs)
 
     @property

@@ -16,8 +16,6 @@ from collections import namedtuple
 from .errors import PreconditionError, brief
 from .intpoly import IntPolynomial, poly_gcd, power_transform, real_root_count, synthetic_division
 
-DEGREE_CAP = 64
-
 
 class WeilDatum(namedtuple("WeilDatum", "poly q weights weight_budget")):
     """A monic integer polynomial whose roots have absolute values q^{w_k/2},
@@ -44,8 +42,6 @@ def validate_weights(poly: IntPolynomial, q: int, weights) -> bool:
     weights = sorted(int(w) for w in weights)
     if len(weights) != poly.degree:
         raise ValueError("weight multiset size must equal the polynomial degree")
-    if poly.degree > DEGREE_CAP:
-        raise PreconditionError(f"degree {poly.degree} exceeds cap {DEGREE_CAP}")
     if weights and weights[0] < 0:
         return False  # alpha * conj(alpha) = q^w < 1 is no algebraic integer
     F = power_transform(poly, 2).coeffs

@@ -124,17 +124,10 @@ def test_decide_batch_and_min_ell(capsys):
     assert cert["min_ell"] == 17
 
 
-def test_ell_flag_appends(capsys):
-    doc = {"field": {"d": 1, "disc": 1, "h_plus": 1}, "query": {"ell_E": 2, "ell": []}}
-    code, out, _ = run_cli(capsys, "ec-irred", doc, "--ell", "17", "--ell", "13")
-    assert code == 0
-    ells = [v["ell"] for v in json.loads(out)["verdicts"]]
-    assert ells == [17, 13]
-
-
-@pytest.mark.parametrize("command", ["constants", "weil-check", "power-transform", "gate-search"])
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_ell_flag_is_only_for_commands_whose_query_takes_ell(capsys, command):
-    # parsed as a flag of its own, it was reported as a key the user never wrote
+    # no command takes one: a query's primes come from the document alone, so a
+    # certificate's input is exactly the JSON that was read
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, command, "{}", "--ell", "5")
     out = capsys.readouterr()
@@ -481,7 +474,8 @@ def test_refused_family_with_no_ell_exits_3(capsys, command, doc):
 
 @pytest.mark.parametrize("query", ["[1]", '"x"', "5", "null"])
 def test_ell_flag_on_a_non_object_query_exits_2(capsys, query):
-    code, out, err = run_cli(capsys, "rt", '{"query": %s}' % query, "--ell", "5")
+    raw = '{"field": {"d": 1, "disc": 1, "h_plus": 1}, "query": %s}' % query
+    code, out, err = run_cli(capsys, "rt", raw)
     assert code == 2 and out == "" and "query must be a JSON object" in err
 
 
@@ -635,6 +629,11 @@ def test_gate_refuses_an_invalid_datum_without_an_ell(capsys):
         3, "", "precondition failure: datum fails the root absolute-value check\n")
 
 
+def _wide(digits: int) -> list[int]:
+    """T^64 + c T^63 + ... + c T + 1, c of the given number of digits."""
+    return [1, *[10 ** (digits - 1)] * 63, 1]
+
+
 @pytest.mark.parametrize("command,doc,code,message", [
     # C2' = 2*c_100*2^(1000^2*1000*10^4): refused before any power or binomial
     ("constants", {"field": {"d": 1000, "disc": 5, "h_plus": 1000},
@@ -656,8 +655,21 @@ def test_gate_refuses_an_invalid_datum_without_an_ell(capsys):
     # c_0 = 1, but M(f)^s = phi^(2s) has about 41,800 digits: Mahler bounds give 37,628
     ("power-transform", {"query": {"poly": [1, 3, 1], "s": 10 ** 5}}, 3,
      "precondition failure: query.s = 100000: f_s has a coefficient of more than 4300 digits\n"),
+    # degree 64, c_0 = 1: M(f) >= |f|_inf / C(64, 32) alone puts f_s past the limit,
+    # so neither f_16 nor f_s is built
+    ("power-transform", {"query": {"poly": _wide(400), "s": 16}}, 3,
+     "precondition failure: query.s = 16: f_s has a coefficient of more than 4300 digits\n"),
+    ("power-transform", {"query": {"poly": _wide(1000), "s": 15}}, 3,
+     "precondition failure: query.s = 15: f_s has a coefficient of more than 4300 digits\n"),
+    ("power-transform", {"query": {"poly": _wide(4000), "s": 2}}, 3,
+     "precondition failure: query.s = 2: f_s has a coefficient of more than 4300 digits\n"),
+    # every root a root of unity, so no Mahler bound fires: the degree cap does
+    ("power-transform", {"query": {"poly": [1] * 2001, "s": 16}}, 3,
+     "precondition failure: degree 2000 exceeds cap 64\n"),
 ], ids=["constants-d-h-1000", "weil-check-q-3800-digits", "gate-s-u-10-5", "gate-r-10-9",
-        "power-transform-s-3e4", "power-transform-s-3e5", "power-transform-unit-c0-s-1e5"])
+        "power-transform-s-3e4", "power-transform-s-3e5", "power-transform-unit-c0-s-1e5",
+        "power-transform-400-digits-s-16", "power-transform-1000-digits-s-15",
+        "power-transform-4000-digits-s-2", "power-transform-degree-2000"])
 def test_large_documents_are_refused_at_once(capsys, command, doc, code, message):
     start = time.perf_counter()
     result = run_cli(capsys, command, doc)
@@ -675,6 +687,12 @@ def test_a_power_transform_under_the_digit_limit_is_built(capsys):
     assert code == 0 and json.loads(out)["result"] == [1, -lucas, 1]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b21770a80c46090a8b6475eaad0e5b0cdcb2dbd7c032cbe30653858b02fda0b4")
+
+
+def test_the_constant_polynomial_is_its_own_power_transform(capsys):
+    # degree 0 has no Mahler bound to read: C(0, 0) is not a central binomial
+    code, out, _ = run_cli(capsys, "power-transform", {"query": {"poly": [1], "s": 10 ** 6}})
+    assert code == 0 and json.loads(out)["result"] == [1]
 
 
 def _not_decided(theorem: str, trace: str) -> dict:
@@ -899,6 +917,13 @@ REFUSED = {
         "precondition failure: bound 2*c_n*ell0^(d*M*u) has more than 4300 digits"),
     "gate-t-length": ("gate", {"query": dict(GATE, t=[1])}, 2,
                       "schema error: t must have one entry per eigenvalue"),
+    # the degree cap is met where the polynomial is built, before any weight is read
+    "weil-check-degree-65": (
+        "weil-check", {"query": {"poly": [1] + [0] * 64 + [1], "q": 2, "weights": [0] * 65}}, 3,
+        "precondition failure: degree 65 exceeds cap 64"),
+    "gate-degree-65": (
+        "gate", {"query": dict(GATE, poly=[1] + [0] * 64 + [1], weights=[0] * 65, t=[0] * 65)}, 3,
+        "precondition failure: degree 65 exceeds cap 64"),
 }
 
 

@@ -84,6 +84,7 @@ def test_keyword_and_default_construction():
     (lambda: RepFamilyParams(2, 2, 1, "square", w=1), "unknown variant 'square'"),
     (lambda: IntPolynomial(()), "empty coefficient sequence"),
     (lambda: IntPolynomial((1, 2)), "polynomial is not monic: leading coefficient 2"),
+    (lambda: IntPolynomial((0,) * 65 + (1,)), "degree 65 exceeds cap 64"),
     (lambda: WeilDatum(QUAD, 2, (1,), 2), "weight multiset size must equal the polynomial degree"),
     (lambda: WeilDatum(QUAD, 2, (-1, 1), 2), "weights must be non-negative"),
     (lambda: WeilDatum(QUAD, 2, (1, 2), 2), "total weight 3 exceeds budget 2"),

@@ -30,6 +30,7 @@ def test_validate_weights_permutation_invariant():
 
 
 def test_validate_weights_degree_cap():
+    # the cap is IntPolynomial's, so no polynomial past it reaches validate_weights
     coeffs = (0,) * 65 + (1,)
     with pytest.raises(PreconditionError, match=r"^degree 65 exceeds cap 64$"):
         validate_weights(IntPolynomial(coeffs), 2, [0] * 65)
