@@ -5,7 +5,6 @@ Run only after re-verifying the expected values in tests/golden_cases.py by
 hand; the acceptance suite byte-compares against these files.
 """
 
-import io
 import json
 import pathlib
 import sys
@@ -18,14 +17,7 @@ from semistable_gate import cli  # noqa: E402
 
 
 def certificate_text(command: str, doc: dict) -> str:
-    old_stdin, old_stdout = sys.stdin, sys.stdout
-    sys.stdin = io.StringIO(json.dumps(doc))
-    sys.stdout = io.StringIO()
-    try:
-        code = cli.main([command])
-        out = sys.stdout.getvalue()
-    finally:
-        sys.stdin, sys.stdout = old_stdin, old_stdout
+    code, out, _ = cli.answer([command], json.dumps(doc))
     if code != 0:
         raise RuntimeError(f"{command} exited {code}")
     return out

@@ -173,8 +173,14 @@ class Setting(namedtuple("Setting", "theorem thresholds facts disc ell0", defaul
 
 def _facts(inv: FieldInvariants, p: RepFamilyParams | None = None) -> tuple[dict, int | None]:
     """The hypotheses that do not depend on ell, and the discriminant (None
-    over Q); those about the weight need the bullet variant."""
-    facts = {"degree_odd": inv.d % 2 == 1, "galois_odd_degree": inv.galois_odd_degree}
+    over Q); those about the weight need the bullet variant.  A Galois field
+    of odd degree has a group of odd order, inside A_d, and is totally real,
+    so its discriminant is a positive square; a cubic field with one is
+    Galois.  So the flag holds in fact at d = 1, at d = 3 iff the
+    discriminant is a positive square, and, unproven, never at d >= 5."""
+    galois = inv.galois_odd_degree and (
+        inv.d == 1 or inv.d == 3 and inv.disc > 0 and math.isqrt(inv.disc) ** 2 == inv.disc)
+    facts = {"degree_odd": inv.d % 2 == 1, "galois_odd_degree": galois}
     if p is not None:
         if p.variant != "bullet":
             raise PreconditionError("this decision requires the bullet (uniform weight) variant")

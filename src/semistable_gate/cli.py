@@ -21,7 +21,9 @@ document with two faults may report either.  A setting or a gate instance
 checks its own domain when built, once per document whatever its ell list
 holds: a family outside a theorem's domain is a precondition failure.
 
-A process pays only for its command: `main` builds only the subparser of
+`answer`, the in-process entry, maps argv and the input's text to (exit
+code, stdout, stderr) and writes no stream; `main` only writes that triple.
+A process pays only for its command: `answer` builds only the subparser of
 the command argv names (all ten for help, no command or an unknown one),
 and the handlers import `gate`, `weil`, `intpoly` and `tame` when they run.
 Nor does it pay after its answer: `run`, the process entry point, ends with
@@ -58,31 +60,35 @@ from .primes import is_prime, is_prime_power
 TOOL = "semistable-gate"
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def answer(argv: list[str], stdin) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of the command argv names, its document
+    read from --input, else from `stdin` (a string or a readable stream):
+    the exact text the process writes to each stream.  Help and usage errors
+    leave through argparse's SystemExit."""
     sys.set_int_max_str_digits(DIGIT_LIMIT)  # so no certificate depends on PYTHONINTMAXSTRDIGITS
     parser = _build_parser([argv[0]] if argv and argv[0] in COMMANDS else COMMANDS)
     args = parser.parse_args(argv)
     if args.command is None:
-        parser.print_help(sys.stderr)
-        return 2
+        return 2, "", parser.format_help()
     try:
-        doc = _load_document(args)
-        text = canonical_json(_dispatch(args.command, doc, args))
+        doc = _load_document(args, stdin)
+        return 0, canonical_json(_dispatch(args.command, doc, args)) + "\n", ""
     except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return 2
+        return 2, "", f"schema error: {exc}\n"
     except InternalConsistencyError as exc:
-        print(f"internal consistency failure: {exc}", file=sys.stderr)
-        return 4
+        return 4, "", f"internal consistency failure: {exc}\n"
     except (ValueError, OverflowError) as exc:
-        print(f"precondition failure: {exc}", file=sys.stderr)
-        return 3
+        return 3, "", f"precondition failure: {exc}\n"
     except (MemoryError, RecursionError) as exc:
-        print(f"resource exhausted: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
-        return 4
+        return 4, "", f"resource exhausted: {type(exc).__name__} {exc}".rstrip() + "\n"
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Write `answer`'s triple to the process streams; return its exit code."""
+    code, out, err = answer(sys.argv[1:] if argv is None else argv, sys.stdin)
+    print(err, end="", file=sys.stderr)
     try:
-        print(text, flush=True)
+        print(out, end="", flush=True)
     except BrokenPipeError:
         # the reader is gone: send the last flush to nowhere, not a traceback
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -90,7 +96,7 @@ def main(argv: list[str] | None = None) -> int:
         os.close(devnull)
         print("output failure: standard output is closed", file=sys.stderr)
         return 4
-    return 0
+    return code
 
 
 def run() -> None:
@@ -128,13 +134,13 @@ def _build_parser(names) -> argparse.ArgumentParser:
     return parser
 
 
-def _load_document(args: argparse.Namespace) -> dict:
+def _load_document(args: argparse.Namespace, stdin) -> dict:
     try:
         if args.input:
             with open(args.input, "r", encoding="utf-8") as fh:
                 raw = fh.read()
         else:
-            raw = sys.stdin.read()
+            raw = stdin if isinstance(stdin, str) else stdin.read()
         doc = json.loads(raw)
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
@@ -306,16 +312,19 @@ def _cmd_power_transform(inv, p, query, args) -> dict:
     # and so is a result that Mahler measures bound past it, tried on f itself before
     # f_16 is built: for degree n, M(g) >= |g|_inf / C(n, n//2), M(f_s) >= M(f_k)^(s//k)
     # and |f_s|_inf >= M(f_s) / sqrt(n+1)
-    n = poly.degree
+    n, built = poly.degree, {}
     for k in (1, 16):
         if k > s or n == 0:  # f_0 is (T-1)^n, and f = 1 is its own f_s
             break
-        top = max(map(abs, power_transform(poly, k).coeffs))
+        built[k] = power_transform(poly, k)
+        top = max(map(abs, built[k].coeffs))
         per_k = top.bit_length() - 1 - central_binomial(n).bit_length()  # <= log2 M(f_k)
         if min_digits((s // k) * per_k - (n + 1).bit_length()) > DIGIT_LIMIT:
             raise PreconditionError(
                 f"query.s = {brief(s)}: f_s has a coefficient of more than {DIGIT_LIMIT} digits")
-    return {"result": list(_record(power_transform, poly, s).coeffs)}
+    # the pass's f_k is the answer at k = s
+    f_s = built[s] if s in built else _record(power_transform, poly, s)
+    return {"result": list(f_s.coeffs)}
 
 
 def _cmd_gate(inv, p, query, args) -> dict:

@@ -91,18 +91,18 @@ def _trace(a: list[int]) -> list[int]:
 
 def functional_equation_check(poly: IntPolynomial, q: int, w: int) -> bool:
     """Exact necessary condition for uniform weight w: T^n * poly(q^w / T)
-    equals +/- q^{nw/2} * poly(T) as an integer polynomial identity.
+    equals c_0 * poly(T) as an integer polynomial identity, c_0 being the
+    constant term (each root alpha has q^w / alpha = conj(alpha) as a root).
 
-    False when w < 0 or n*w is odd (the right side is not integral), and by
-    bit lengths, before any power, when q^{nw} exceeds c_0^2, which it must equal.
+    False when w < 0, and by bit lengths, before any power, when q^{nw}
+    exceeds c_0^2, which the T^0 coefficients say it must equal.
     """
     n, c0 = poly.degree, poly.coeffs[0]
-    if w < 0 or n * w % 2 or n * w * (q.bit_length() - 1) >= 2 * abs(c0).bit_length():
+    if w < 0 or n * w * (q.bit_length() - 1) >= 2 * abs(c0).bit_length():
         return False
-    qw, scale = q ** w, q ** (n * w // 2)
     # coefficient of T^i in T^n * poly(q^w/T) is coeffs[n-i] * q^{w*(n-i)}
-    return any(all(poly.coeffs[n - i] * qw ** (n - i) == sign * scale * c
-                   for i, c in enumerate(poly.coeffs)) for sign in (1, -1))
+    return all(poly.coeffs[n - i] * q ** (w * (n - i)) == c0 * c
+               for i, c in enumerate(poly.coeffs))
 
 
 def enumerate_weil_quadratics(q: int, w: int) -> list[IntPolynomial]:

@@ -4,12 +4,10 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.
 """
 
-import io
 import json
 import math
 import pathlib
 import random
-import sys
 import time
 
 import numpy as np
@@ -135,14 +133,7 @@ def test_criterion_5_tame_weight_invariance():
 
 
 def _run_cli(command: str, doc: dict) -> tuple[int, str]:
-    old_stdin, old_stdout = sys.stdin, sys.stdout
-    sys.stdin = io.StringIO(json.dumps(doc))
-    sys.stdout = io.StringIO()
-    try:
-        code = cli.main([command])
-        out = sys.stdout.getvalue()
-    finally:
-        sys.stdin, sys.stdout = old_stdin, old_stdout
+    code, out, _ = cli.answer([command], json.dumps(doc))
     return code, out
 
 

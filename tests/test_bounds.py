@@ -165,6 +165,19 @@ def test_decide_trivial():
     assert decide_trivial(non_galois, p, 5).conclusion == "NotDecided"
 
 
+@pytest.mark.parametrize("d,disc,galois", [
+    (1, 1, True), (3, 49, True), (3, 81, True),
+    (3, -23, False),   # T^3 - T - 1: not a square
+    (3, -49, False),   # a square in absolute value only: not totally real
+    (3, 148, False),   # T^3 - 4T - 2, Eisenstein at 2: 4 * 37, positive but no square
+    (5, 14641, False),  # 11^4, the cyclic quintic's: unproven from the invariants
+])
+def test_the_galois_flag_holds_only_where_the_invariants_prove_it(d, disc, galois):
+    inv = FieldInvariants(d, disc, 1, galois_odd_degree=True)
+    conclusion = decide_trivial(inv, bullet(1, 2, 1, 1), 5).conclusion
+    assert conclusion == ("Empty" if galois else "NotDecided")
+
+
 def test_decide_rt_examples():
     v = decide_rt(Q_FIELD, 1, 17, "st")
     assert (v.conclusion, v.situation, v.threshold) == ("Empty", "a", 16)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -15,25 +16,16 @@ from semistable_gate import cli, gate, intpoly
 from semistable_gate.intpoly import IntPolynomial, poly_mul
 
 
-def run_cli(capsys, command, doc, *flags):
-    import io, sys
-    payload = doc if isinstance(doc, str) else json.dumps(doc)
-    old_stdin = sys.stdin
-    sys.stdin = io.StringIO(payload)
-    try:
-        code = cli.main([command, *flags])
-    finally:
-        sys.stdin = old_stdin
-    out = capsys.readouterr()
-    return code, out.out, out.err
+def run_cli(command, doc, *flags):
+    return cli.answer([command, *flags], doc if isinstance(doc, str) else json.dumps(doc))
 
 
 EC_DOC = {"field": {"d": 1, "disc": 1, "h_plus": 1},
           "query": {"ell_E": 2, "ell": 17}}
 
 
-def test_ec_irred_certificate(capsys):
-    code, out, _ = run_cli(capsys, "ec-irred", EC_DOC)
+def test_ec_irred_certificate():
+    code, out, _ = run_cli("ec-irred", EC_DOC)
     assert code == 0
     cert = json.loads(out)
     v = cert["verdicts"][0]
@@ -43,21 +35,21 @@ def test_ec_irred_certificate(capsys):
     assert cert["input"] == EC_DOC
 
 
-def test_determinism_byte_identical(capsys):
-    _, out1, _ = run_cli(capsys, "ec-irred", EC_DOC)
-    _, out2, _ = run_cli(capsys, "ec-irred", EC_DOC)
+def test_determinism_byte_identical():
+    _, out1, _ = run_cli("ec-irred", EC_DOC)
+    _, out2, _ = run_cli("ec-irred", EC_DOC)
     assert out1 == out2
 
 
-def test_round_trip_on_embedded_input(capsys):
-    _, out1, _ = run_cli(capsys, "ec-irred", EC_DOC)
+def test_round_trip_on_embedded_input():
+    _, out1, _ = run_cli("ec-irred", EC_DOC)
     embedded = json.loads(out1)["input"]
-    _, out2, _ = run_cli(capsys, "ec-irred", embedded)
+    _, out2, _ = run_cli("ec-irred", embedded)
     assert out1 == out2
 
 
-def test_tame_weights(capsys):
-    code, out, _ = run_cli(capsys, "tame-weights", {"query": {"ell": 5, "h": 2, "n_f": 7}})
+def test_tame_weights():
+    code, out, _ = run_cli("tame-weights", {"query": {"ell": 5, "h": 2, "n_f": 7}})
     assert code == 0
     cert = json.loads(out)
     assert cert["digits"] == [1, 2]
@@ -65,19 +57,19 @@ def test_tame_weights(capsys):
     assert cert["orbit"] == [7, 11]
 
 
-def test_gate(capsys):
+def test_gate():
     doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1, 1],
                      "s": 2, "u": 2, "t": [1, 1], "ell": 7}}
-    code, out, _ = run_cli(capsys, "gate", doc)
+    code, out, _ = run_cli("gate", doc)
     assert code == 0
     v = json.loads(out)["verdicts"][0]
     assert v["outcome"] == "CongruentBelowBound"
     assert v["bound"] == 64
 
 
-def test_gate_search(capsys):
+def test_gate_search():
     doc = {"query": {"q": 2, "n": 2, "s_max": 2, "ell_max": 100}}
-    code, out, _ = run_cli(capsys, "gate-search", doc)
+    code, out, _ = run_cli("gate-search", doc)
     assert code == 0
     cert = json.loads(out)
     assert cert["count"] >= 1
@@ -85,37 +77,37 @@ def test_gate_search(capsys):
             "bound": 64} in cert["instances"]
 
 
-def test_power_transform(capsys):
-    code, out, _ = run_cli(capsys, "power-transform", {"query": {"poly": [2, 1, 1], "s": 2}})
+def test_power_transform():
+    code, out, _ = run_cli("power-transform", {"query": {"poly": [2, 1, 1], "s": 2}})
     assert code == 0
     assert json.loads(out)["result"] == [4, 3, 1]
 
 
-def test_weil_check(capsys):
+def test_weil_check():
     doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1, 1]}}
-    code, out, _ = run_cli(capsys, "weil-check", doc)
+    code, out, _ = run_cli("weil-check", doc)
     assert code == 0
     cert = json.loads(out)
     assert cert["weights_valid"] is True
     assert cert["functional_equation"] is True
 
 
-def test_constants(capsys):
+def test_constants():
     doc = {"field": {"d": 1, "disc": 1, "h_plus": 1},
            "params": {"n": 2, "ell0": 2, "r": 1, "variant": "bullet", "w": 1}}
-    code, out, _ = run_cli(capsys, "constants", doc)
+    code, out, _ = run_cli("constants", doc)
     assert code == 0
     c = json.loads(out)["constants"]
     assert c["C1"] == c["C2"] == c["C1p"] == c["C2p"] == 16
     assert c["M"] == "2/1"
 
 
-def test_decide_batch_and_min_ell(capsys):
+def test_decide_batch_and_min_ell():
     doc = {"field": {"d": 1, "disc": 1, "h_plus": 1},
            "params": {"n": 2, "ell0": 2, "r": 1, "variant": "bullet",
                       "w": 1, "cyclotomic": True},
            "query": {"ell": [13, 17]}}
-    code, out, _ = run_cli(capsys, "decide", doc, "--min-ell")
+    code, out, _ = run_cli("decide", doc, "--min-ell")
     assert code == 0
     cert = json.loads(out)
     per_ell = {v["ell"]: v["verdicts"] for v in cert["verdicts"]}
@@ -129,7 +121,7 @@ def test_ell_flag_is_only_for_commands_whose_query_takes_ell(capsys, command):
     # no command takes one: a query's primes come from the document alone, so a
     # certificate's input is exactly the JSON that was read
     with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, command, "{}", "--ell", "5")
+        run_cli(command, "{}", "--ell", "5")
     out = capsys.readouterr()
     assert exc.value.code == 2 and out.out == ""
     assert "error: unrecognized arguments: --ell 5" in out.err
@@ -148,59 +140,53 @@ GATE_SEARCH_SHA256 = {
 
 @pytest.mark.parametrize("config,sha", GATE_SEARCH_SHA256.items(),
                          ids=["-".join(map(str, c)) for c in GATE_SEARCH_SHA256])
-def test_gate_search_certificate_bytes(capsys, config, sha):
+def test_gate_search_certificate_bytes(config, sha):
     q, n, s_max, ell_max = config
-    code, out, _ = run_cli(capsys, "gate-search",
+    code, out, _ = run_cli("gate-search",
                            {"query": {"q": q, "n": n, "s_max": s_max, "ell_max": ell_max}})
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
-def test_schema_unknown_key_exit_2(capsys):
+def test_schema_unknown_key_exit_2():
     doc = dict(EC_DOC, extra=1)
-    code, _, err = run_cli(capsys, "ec-irred", doc)
+    code, _, err = run_cli("ec-irred", doc)
     assert code == 2 and "unknown" in err
 
 
-def test_schema_bad_json_exit_2(capsys):
-    import io, sys
-    sys.stdin, old = io.StringIO("{not json"), sys.stdin
-    try:
-        assert cli.main(["ec-irred"]) == 2
-    finally:
-        sys.stdin = old
-    capsys.readouterr()
+def test_schema_bad_json_exit_2():
+    assert run_cli("ec-irred", "{not json")[0] == 2
 
 
-def test_schema_non_prime_exit_2(capsys):
+def test_schema_non_prime_exit_2():
     doc = {"field": {"d": 1, "disc": 1, "h_plus": 1}, "query": {"ell_E": 2, "ell": 15}}
-    code, _, err = run_cli(capsys, "ec-irred", doc)
+    code, _, err = run_cli("ec-irred", doc)
     assert code == 2 and "not prime" in err
 
 
-def test_bullet_with_w_bar_rejected(capsys):
+def test_bullet_with_w_bar_rejected():
     doc = {"field": {"d": 1, "disc": 1, "h_plus": 1},
            "params": {"n": 2, "ell0": 2, "r": 1, "variant": "bullet",
                       "w": 1, "w_bar": 2}}
-    code, _, err = run_cli(capsys, "constants", doc)
+    code, _, err = run_cli("constants", doc)
     assert code == 2 and "w_bar" in err
 
 
-def test_circle_with_w_rejected(capsys):
+def test_circle_with_w_rejected():
     doc = {"field": {"d": 1, "disc": 1, "h_plus": 1},
            "params": {"n": 2, "ell0": 2, "r": 1, "variant": "circle", "w": 1}}
-    code, _, err = run_cli(capsys, "constants", doc)
+    code, _, err = run_cli("constants", doc)
     assert code == 2
 
 
-def test_precondition_exit_3(capsys):
+def test_precondition_exit_3():
     doc = {"field": {"d": 1, "disc": 1, "h_plus": 1},
            "query": {"b_w": 2, "ell_X": 2, "w": 2, "ell": 17}}
-    code, _, err = run_cli(capsys, "etale", doc)
+    code, _, err = run_cli("etale", doc)
     assert code == 3 and "odd" in err
 
 
-def test_internal_consistency_exit_4(capsys, monkeypatch):
+def test_internal_consistency_exit_4(monkeypatch):
     from semistable_gate.errors import InternalConsistencyError
 
     def boom(inst, ell):
@@ -210,18 +196,18 @@ def test_internal_consistency_exit_4(capsys, monkeypatch):
     monkeypatch.setattr(gate, "forced_equality", boom)
     doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [1, 1],
                      "s": 2, "u": 2, "t": [1, 1], "ell": 7}}
-    code, _, err = run_cli(capsys, "gate", doc)
+    code, _, err = run_cli("gate", doc)
     assert code == 4 and "synthetic" in err
 
 
-def test_no_floats_in_certificates(capsys):
+def test_no_floats_in_certificates():
     for command, doc in [
         ("constants", {"field": {"d": 1, "disc": 1, "h_plus": 1},
                        "params": {"n": 1, "ell0": 2, "r": 1, "variant": "circle",
                                   "w_bar": 3}}),
         ("ec-irred", EC_DOC),
     ]:
-        _, out, _ = run_cli(capsys, command, doc)
+        _, out, _ = run_cli(command, doc)
 
         def reject_float(x):
             raise AssertionError("float in certificate")
@@ -229,28 +215,28 @@ def test_no_floats_in_certificates(capsys):
         json.loads(out, parse_float=reject_float)
 
 
-def test_divides_disc_read_from_the_discriminant(capsys):
+def test_divides_disc_read_from_the_discriminant():
     # 1009 divides disc = 1009, so situation (a) may not fire without the flag
     doc = {"field": {"d": 2, "disc": 1009, "h_plus": 1}, "query": {"ell_E": 2, "ell": 1009}}
-    code, out, _ = run_cli(capsys, "ec-irred", doc)
+    code, out, _ = run_cli("ec-irred", doc)
     assert code == 0
     v = json.loads(out)["verdicts"][0]
     assert v["conclusion"] == "NotDecided"
     assert ["a:ell_not_dividing_disc", False] in v["trace"]
 
 
-def test_huge_prime_power_q_validates(capsys):
+def test_huge_prime_power_q_validates():
     # roots +-i*2^550 have absolute value q^(1/2), past the float range
     doc = {"query": {"poly": [2 ** 1100, 0, 1], "q": 2 ** 1100, "weights": [1, 1]}}
-    code, out, _ = run_cli(capsys, "weil-check", doc)
+    code, out, _ = run_cli("weil-check", doc)
     assert code == 0 and json.loads(out)["weights_valid"] is True
 
 
-def test_oversized_certificate_exits_3(capsys):
+def test_oversized_certificate_exits_3():
     # C2' = 2*252*2^20000 has past 6000 digits, beyond the int-to-str limit
     doc = {"field": {"d": 10, "disc": 5, "h_plus": 10},
            "params": {"n": 10, "ell0": 2, "r": 2, "variant": "bullet", "w": 1}}
-    code, out, err = run_cli(capsys, "constants", doc)
+    code, out, err = run_cli("constants", doc)
     assert code == 3 and out == "" and "precondition failure" in err
 
 
@@ -260,55 +246,55 @@ def test_oversized_certificate_exits_3(capsys):
     ([-3, 1], 4, 3, 2),      # (T-3)^4
     ([4, -2, 1], 3, 2, 2),   # (T^2-2T+4)^3
 ])
-def test_repeated_roots_validate(capsys, factor, power, q, w):
+def test_repeated_roots_validate(factor, power, q, w):
     poly = IntPolynomial((1,))
     for _ in range(power):
         poly = poly_mul(poly, IntPolynomial(tuple(factor)))
     doc = {"query": {"poly": list(poly.coeffs), "q": q, "weights": [w] * poly.degree}}
-    code, out, _ = run_cli(capsys, "weil-check", doc)
+    code, out, _ = run_cli("weil-check", doc)
     assert code == 0 and json.loads(out)["weights_valid"] is True
 
 
-def test_gate_on_repeated_roots_exits_0(capsys):
+def test_gate_on_repeated_roots_exits_0():
     # (T^2+2)^3: a valid datum the float root check refused
     doc = {"query": {"poly": [8, 0, 12, 0, 6, 0, 1], "q": 2, "weights": [1] * 6,
                      "s": 2, "u": 2, "t": [1] * 6, "ell": 7}}
-    code, out, _ = run_cli(capsys, "gate", doc)
+    code, out, _ = run_cli("gate", doc)
     assert code == 0
     assert json.loads(out)["verdicts"][0]["outcome"] == "NotCongruent"
 
 
-def test_mixed_weights_with_a_double_root(capsys):
+def test_mixed_weights_with_a_double_root():
     # (T-1)^2 (T-4) at q=2: |1| = 2^0 twice and |4| = 2^(4/2) once
     doc = {"query": {"poly": [-4, 9, -6, 1], "q": 2, "weights": [0, 0, 4]}}
-    code, out, _ = run_cli(capsys, "weil-check", doc)
+    code, out, _ = run_cli("weil-check", doc)
     assert code == 0 and json.loads(out)["weights_valid"] is True
     doc["query"]["weights"] = [0, 4, 4]
-    code, out, _ = run_cli(capsys, "weil-check", doc)
+    code, out, _ = run_cli("weil-check", doc)
     assert code == 0 and json.loads(out)["weights_valid"] is False
 
 
-def test_huge_weight_answers_at_once(capsys):
+def test_huge_weight_answers_at_once():
     doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [10 ** 10, 10 ** 10]}}
     start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "weil-check", doc)
+    code, out, _ = run_cli("weil-check", doc)
     assert time.perf_counter() - start < 1
     assert code == 0
     cert = json.loads(out)
     assert cert["weights_valid"] is False and cert["functional_equation"] is False
 
 
-def test_negative_weights_are_invalid(capsys):
+def test_negative_weights_are_invalid():
     doc = {"query": {"poly": [2, 1, 1], "q": 2, "weights": [-1, -1]}}
-    code, out, _ = run_cli(capsys, "weil-check", doc)
+    code, out, _ = run_cli("weil-check", doc)
     assert code == 0
     cert = json.loads(out)
     assert cert["weights_valid"] is False and cert["functional_equation"] is False
 
 
-def test_integer_past_the_digit_limit_exits_2(capsys):
+def test_integer_past_the_digit_limit_exits_2():
     raw = '{"field": {"d": 1, "disc": 1, "h_plus": 1}, "query": {"ell_E": %s, "ell": 17}}'
-    code, out, err = run_cli(capsys, "ec-irred", raw % ("1" * 5000))
+    code, out, err = run_cli("ec-irred", raw % ("1" * 5000))
     assert code == 2 and out == "" and "schema error" in err
 
 
@@ -328,16 +314,16 @@ HUGE = "1" + "0" * 4298 + "1"  # 10^4299 + 1, divisible by 11
              ' "u": 2, "t": [1, 1], "ell": 7}}' % HUGE, 3,
      "got s=1000000000...0000000001 (4300 digits), u=2"),
 ], ids=["rt-ell", "etale-w", "tame-weights-n_f", "gate-s"])
-def test_a_huge_integer_in_a_message_is_abbreviated(capsys, command, raw, code, shown):
-    got, out, err = run_cli(capsys, command, raw)
+def test_a_huge_integer_in_a_message_is_abbreviated(command, raw, code, shown):
+    got, out, err = run_cli(command, raw)
     assert got == code and out == "" and len(err.encode()) < 300
     assert shown in err
 
 
-def test_gate_search_refuses_a_huge_ell_max_before_sieving(capsys):
+def test_gate_search_refuses_a_huge_ell_max_before_sieving():
     doc = {"query": {"q": 2, "n": 2, "s_max": 1, "ell_max": 10 ** 12}}
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "gate-search", doc)
+    code, out, err = run_cli("gate-search", doc)
     assert time.perf_counter() - start < 1
     assert code == 3 and out == "" and "exceeds budget" in err
 
@@ -345,9 +331,9 @@ def test_gate_search_refuses_a_huge_ell_max_before_sieving(capsys):
 @pytest.mark.xfail(strict=True, reason="gate-search takes no field degree: it uses d = 1, so "
                    "the forcing bound ell0^(d*M*u) is too small for q = ell0^f with f > 1")
 @pytest.mark.parametrize("q,ell_max", [(27, 50), (32, 50), (125, 200)])
-def test_gate_search_over_a_prime_power_q_keeps_the_bound(capsys, q, ell_max):
+def test_gate_search_over_a_prime_power_q_keeps_the_bound(q, ell_max):
     doc = {"query": {"q": q, "n": 2, "s_max": 1, "ell_max": ell_max}}
-    code, _, err = run_cli(capsys, "gate-search", doc)
+    code, _, err = run_cli("gate-search", doc)
     assert code in (0, 2, 3), err
 
 
@@ -390,14 +376,12 @@ def test_every_export_resolves_and_is_in_all():
 def test_imports_follow_the_command():
     # compared with a snapshot: site .pth files may load some of them first
     doc = '{"field":{"d":1,"disc":1,"h_plus":1},"query":{"g":1,"variant":"st","ell":[]}}'
-    code = ("import io, sys\n"
+    code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import semistable_gate\n"
             "print(sorted(m for m in set(sys.modules) - before if m.startswith('semistable_gate.')))\n"
-            f"sys.stdin, sys.stdout = io.StringIO({doc!r}), io.StringIO()\n"
             "from semistable_gate import cli\n"
-            "code = cli.main(['rt', '--min-ell'])\n"
-            "out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__\n"
+            f"code, out, _ = cli.answer(['rt', '--min-ell'], {doc!r})\n"
             "unwanted = {'semistable_gate.gate', 'semistable_gate.weil', 'semistable_gate.intpoly',\n"
             "            'semistable_gate.tame', 'fractions', 'decimal'}\n"
             "print(code, '\"min_ell\": 17' in out, sorted(unwanted & (set(sys.modules) - before)))\n")
@@ -440,18 +424,18 @@ UNIFORM_DOC = {"field": {"d": 1, "disc": 1, "h_plus": 1},
                           "w": 1, "cyclotomic": True}}
 
 
-def test_decide_at_ell0_asks_only_trivial(capsys):
-    code, out, _ = run_cli(capsys, "decide", dict(UNIFORM_DOC, query={"ell": [2, 17]}))
+def test_decide_at_ell0_asks_only_trivial():
+    code, out, _ = run_cli("decide", dict(UNIFORM_DOC, query={"ell": [2, 17]}))
     assert code == 0
     per_ell = {v["ell"]: [x["theorem"] for x in v["verdicts"]]
                for v in json.loads(out)["verdicts"]}
     assert per_ell == {2: ["Trivial"], 17: ["Trivial", "Cor1", "Cor2"]}
 
 
-def test_rt_with_ell0_at_ell0_exits_3(capsys):
+def test_rt_with_ell0_at_ell0_exits_3():
     doc = {"field": {"d": 1, "disc": 1, "h_plus": 1},
            "query": {"g": 1, "variant": "st_with_ell0", "ell0": 3, "ell": [17, 3]}}
-    code, out, err = run_cli(capsys, "rt", doc)
+    code, out, err = run_cli("rt", doc)
     assert code == 3 and out == "" and "outside the framework" in err
 
 
@@ -464,18 +448,18 @@ def test_rt_with_ell0_at_ell0_exits_3(capsys):
                 "params": {"n": 2, "ell0": 2, "r": 1, "variant": "circle", "w_bar": 2},
                 "query": {"ell": []}}),
 ])
-def test_refused_family_with_no_ell_exits_3(capsys, command, doc):
+def test_refused_family_with_no_ell_exits_3(command, doc):
     # the settings are built once per query, so an empty ell list is refused
     # exactly as the same document with --min-ell is
     for flags in ((), ("--min-ell",)):
-        code, out, err = run_cli(capsys, command, doc, *flags)
+        code, out, err = run_cli(command, doc, *flags)
         assert code == 3 and out == "" and "precondition failure" in err
 
 
 @pytest.mark.parametrize("query", ["[1]", '"x"', "5", "null"])
-def test_ell_flag_on_a_non_object_query_exits_2(capsys, query):
+def test_ell_flag_on_a_non_object_query_exits_2(query):
     raw = '{"field": {"d": 1, "disc": 1, "h_plus": 1}, "query": %s}' % query
-    code, out, err = run_cli(capsys, "rt", raw)
+    code, out, err = run_cli("rt", raw)
     assert code == 2 and out == "" and "query must be a JSON object" in err
 
 
@@ -509,10 +493,10 @@ def test_memory_error_exits_4_without_a_traceback():
     (2 ** 60, 1, 2, (), 0),                      # no prime up to 2 but ell0 = 2
     (2, 10 ** 18, 19, (), 3),                    # the t count is closed-form in s_max
 ])
-def test_gate_search_counts_its_corpus_before_listing_it(capsys, q, s_max, ell_max, flags, code):
+def test_gate_search_counts_its_corpus_before_listing_it(q, s_max, ell_max, flags, code):
     doc = {"query": {"q": q, "n": 2, "s_max": s_max, "ell_max": ell_max}}
     started = time.perf_counter()
-    got, out, err = run_cli(capsys, "gate-search", doc, *flags)
+    got, out, err = run_cli("gate-search", doc, *flags)
     assert time.perf_counter() - started < 1.0
     assert got == code, err
     if code == 0:
@@ -527,12 +511,12 @@ def test_deeply_nested_document_exits_2_without_a_traceback():
     assert "schema error: invalid JSON" in proc.stderr and "Traceback" not in proc.stderr
 
 
-def test_recursion_error_exits_4_without_a_traceback(capsys, monkeypatch):
+def test_recursion_error_exits_4_without_a_traceback(monkeypatch):
     def deep(poly, s):
         raise RecursionError("synthetic")
 
     monkeypatch.setattr(intpoly, "power_transform", deep)
-    code, out, err = run_cli(capsys, "power-transform", {"query": {"poly": [2, 1, 1], "s": 2}})
+    code, out, err = run_cli("power-transform", {"query": {"poly": [2, 1, 1], "s": 2}})
     assert code == 4 and out == ""
     assert err == "resource exhausted: RecursionError synthetic\n"
 
@@ -557,42 +541,42 @@ GATE = {"poly": [2, 1, 1], "q": 2, "weights": [1, 1], "s": 2, "u": 2, "t": [1, 1
     ("gate-search", {"query": {"q": -4, "n": 2, "s_max": 1, "ell_max": 50}},
      "query.q = -4 is not a prime power"),
 ], ids=["ell", "params.ell0", "ell0", "ell_E", "ell_X", "weil-check-q", "gate-q", "gate-search-q"])
-def test_a_schema_typed_key_with_one_fault_names_it(capsys, command, doc, message):
-    assert run_cli(capsys, command, doc) == (2, "", f"schema error: {message}\n")
+def test_a_schema_typed_key_with_one_fault_names_it(command, doc, message):
+    assert run_cli(command, doc) == (2, "", f"schema error: {message}\n")
 
 
 @pytest.mark.parametrize("h", [10 ** 4, 10 ** 9])
-def test_tame_weights_refuses_a_level_past_the_digit_limit_at_once(capsys, h):
+def test_tame_weights_refuses_a_level_past_the_digit_limit_at_once(h):
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "tame-weights", {"query": {"ell": 5, "h": h, "n_f": 7}})
+    code, out, err = run_cli("tame-weights", {"query": {"ell": 5, "h": h, "n_f": 7}})
     assert time.perf_counter() - start < 0.5
     assert code == 3 and out == ""
     assert err == (f"precondition failure: level {h} is too large: the orbit of a nonzero "
                    "exponent holds an integer of more than 4300 digits\n")
 
 
-def test_a_degree_zero_polynomial_has_no_roots(capsys):
+def test_a_degree_zero_polynomial_has_no_roots():
     for s in (0, 1, 2, 5):
-        code, out, _ = run_cli(capsys, "power-transform", {"query": {"poly": [1], "s": s}})
+        code, out, _ = run_cli("power-transform", {"query": {"poly": [1], "s": s}})
         assert code == 0 and json.loads(out)["result"] == [1]
-    code, out, _ = run_cli(capsys, "weil-check", {"query": {"poly": [1], "q": 2, "weights": []}})
+    code, out, _ = run_cli("weil-check", {"query": {"poly": [1], "q": 2, "weights": []}})
     assert code == 0 and json.loads(out)["weights_valid"] is True
     doc = {"query": {"poly": [1], "q": 2, "weights": [], "s": 1, "u": 1, "t": [], "ell": 7}}
-    assert run_cli(capsys, "gate", doc) == (
+    assert run_cli("gate", doc) == (
         3, "", "precondition failure: poly must have degree at least 1\n")
 
 
-def test_forced_equal_certificate(capsys):
+def test_forced_equal_certificate():
     # alpha = +-i*sqrt(2): alpha^4 = 4 = 2^2 twice, so s*w = 4 = 2*t for both roots
     doc = {"query": {"poly": [2, 0, 1], "q": 2, "weights": [1, 1], "s": 4, "u": 4,
                      "t": [2, 2], "ell": 1000003}}
-    code, out, _ = run_cli(capsys, "gate", doc)
+    code, out, _ = run_cli("gate", doc)
     assert code == 0
     assert json.loads(out)["verdicts"] == [{"ell": 1000003, "outcome": "ForcedEqual", "bound": 1024,
                                             "congruent": True, "matched_weights": [2, 2]}]
 
 
-def test_gate_validates_its_datum_once_per_document(capsys, monkeypatch):
+def test_gate_validates_its_datum_once_per_document(monkeypatch):
     from semistable_gate import weil
     calls = []
 
@@ -603,12 +587,12 @@ def test_gate_validates_its_datum_once_per_document(capsys, monkeypatch):
     validate_weights = weil.validate_weights
     monkeypatch.setattr(weil, "validate_weights", counted)
     doc = {"query": dict(GATE, ell=[7, 11, 13, 17, 19])}
-    code, out, _ = run_cli(capsys, "gate", doc)
+    code, out, _ = run_cli("gate", doc)
     assert code == 0 and len(json.loads(out)["verdicts"]) == 5
     assert len(calls) == 1
 
 
-def test_gate_builds_its_bound_once_per_document(capsys, monkeypatch):
+def test_gate_builds_its_bound_once_per_document(monkeypatch):
     calls = []
 
     def counted(*args):
@@ -618,14 +602,14 @@ def test_gate_builds_its_bound_once_per_document(capsys, monkeypatch):
     lemma_bound = gate.lemma_bound
     monkeypatch.setattr(gate, "lemma_bound", counted)
     doc = {"query": dict(GATE, ell=[7, 11, 13, 17, 19])}
-    code, out, _ = run_cli(capsys, "gate", doc)
+    code, out, _ = run_cli("gate", doc)
     assert code == 0 and len(json.loads(out)["verdicts"]) == 5
     assert len(calls) == 1
 
 
-def test_gate_refuses_an_invalid_datum_without_an_ell(capsys):
+def test_gate_refuses_an_invalid_datum_without_an_ell():
     doc = {"query": dict(GATE, poly=[2, 5, 1], ell=[])}
-    assert run_cli(capsys, "gate", doc) == (
+    assert run_cli("gate", doc) == (
         3, "", "precondition failure: datum fails the root absolute-value check\n")
 
 
@@ -670,28 +654,44 @@ def _wide(digits: int) -> list[int]:
         "power-transform-s-3e4", "power-transform-s-3e5", "power-transform-unit-c0-s-1e5",
         "power-transform-400-digits-s-16", "power-transform-1000-digits-s-15",
         "power-transform-4000-digits-s-2", "power-transform-degree-2000"])
-def test_large_documents_are_refused_at_once(capsys, command, doc, code, message):
+def test_large_documents_are_refused_at_once(command, doc, code, message):
     start = time.perf_counter()
-    result = run_cli(capsys, command, doc)
+    result = run_cli(command, doc)
     assert time.perf_counter() - start < 0.5
     assert result == (code, "", message)
 
 
-def test_a_power_transform_under_the_digit_limit_is_built(capsys):
+def test_a_power_transform_under_the_digit_limit_is_built():
     # T^2 + 3T + 1 has the roots -phi^2 and -phi^-2, so at even s its transform
     # is T^2 - L_2s T + 1 (Lucas numbers); L_20000 has 4180 digits
     lucas, after = 2, 1
     for _ in range(2 * 10 ** 4):
         lucas, after = after, lucas + after
-    code, out, _ = run_cli(capsys, "power-transform", {"query": {"poly": [1, 3, 1], "s": 10 ** 4}})
+    code, out, _ = run_cli("power-transform", {"query": {"poly": [1, 3, 1], "s": 10 ** 4}})
     assert code == 0 and json.loads(out)["result"] == [1, -lucas, 1]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b21770a80c46090a8b6475eaad0e5b0cdcb2dbd7c032cbe30653858b02fda0b4")
 
 
-def test_the_constant_polynomial_is_its_own_power_transform(capsys):
+@pytest.mark.parametrize("s,built", [(1, [1]), (16, [1, 16]), (17, [1, 16, 17])])
+def test_power_transform_builds_each_f_k_once(monkeypatch, s, built):
+    # the Mahler pass's f_1 and f_16 are the answer when s is 1 or 16
+    calls = []
+    transform = intpoly.power_transform
+
+    def counted(f, k):
+        calls.append(k)
+        return transform(f, k)
+
+    monkeypatch.setattr(intpoly, "power_transform", counted)
+    code, out, _ = run_cli("power-transform", {"query": {"poly": [2, 1, 1], "s": s}})
+    assert code == 0 and calls == built
+    assert json.loads(out)["result"] == list(transform(IntPolynomial((2, 1, 1)), s).coeffs)
+
+
+def test_the_constant_polynomial_is_its_own_power_transform():
     # degree 0 has no Mahler bound to read: C(0, 0) is not a central binomial
-    code, out, _ = run_cli(capsys, "power-transform", {"query": {"poly": [1], "s": 10 ** 6}})
+    code, out, _ = run_cli("power-transform", {"query": {"poly": [1], "s": 10 ** 6}})
     assert code == 0 and json.loads(out)["result"] == [1]
 
 
@@ -727,9 +727,9 @@ NONSPLIT_AB = ("ell_does_not_split_in_K a:ell_not_dividing_disc !a:ell_gt_thresh
     ("etale", {"field": Q1, "query": {"b_w": 10 ** 3999, "ell_X": 3, "w": 1, "ell": 17}},
      _not_decided("Et", NONSPLIT_AB)),
 ], ids=["ec-irred-h-10-6", "rt-d-g-1000", "decide-n-3e6", "etale-b-10-3999"])
-def test_thresholds_past_the_digit_limit_are_never_passed(capsys, command, doc, verdict):
+def test_thresholds_past_the_digit_limit_are_never_passed(command, doc, verdict):
     started = time.process_time()
-    code, out, err = run_cli(capsys, command, doc)
+    code, out, err = run_cli(command, doc)
     assert time.process_time() - started < 0.5
     assert (code, err) == (0, "")
     assert json.loads(out)["verdicts"] == [{"ell": 17, **verdict}]
@@ -822,15 +822,15 @@ def test_the_digit_limit_does_not_follow_the_environment(command, doc, code):
     assert len(outcomes) == 1 and next(iter(outcomes))[0] == code
 
 
-def test_input_file_gives_the_stdin_certificate(capsys, tmp_path):
+def test_input_file_gives_the_stdin_certificate(tmp_path):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(EC_DOC))
-    from_file = run_cli(capsys, "ec-irred", "", "--input", str(path))
-    assert from_file == run_cli(capsys, "ec-irred", EC_DOC) and from_file[0] == 0
+    from_file = run_cli("ec-irred", "", "--input", str(path))
+    assert from_file == run_cli("ec-irred", EC_DOC) and from_file[0] == 0
 
 
-def test_missing_input_file_exits_2(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "ec-irred", "", "--input", str(tmp_path / "absent.json"))
+def test_missing_input_file_exits_2(tmp_path):
+    code, out, err = run_cli("ec-irred", "", "--input", str(tmp_path / "absent.json"))
     assert code == 2 and out == "" and err.startswith("schema error: cannot read input: ")
 
 
@@ -859,9 +859,9 @@ def test_golden_certificates_leave_the_process_whole(name, command, doc):
     assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
-def test_a_certificate_past_the_pipe_buffer_leaves_the_process_whole(capsys):
+def test_a_certificate_past_the_pipe_buffer_leaves_the_process_whole():
     command, doc, _ = DIGIT_LIMIT_DOCS[1]
-    code, out, _ = run_cli(capsys, command, doc)
+    code, out, _ = run_cli(command, doc)
     proc = _cli_process(json.dumps(doc).encode(), command, text=False)
     assert code == proc.returncode == 0 and len(out) > 10 ** 6
     assert proc.stdout == out.encode()
@@ -928,8 +928,8 @@ REFUSED = {
 
 
 @pytest.mark.parametrize("command,raw,code,message", REFUSED.values(), ids=list(REFUSED))
-def test_refused_documents_name_their_fault(capsys, command, raw, code, message):
-    assert run_cli(capsys, command, raw) == (code, "", message + "\n")
+def test_refused_documents_name_their_fault(command, raw, code, message):
+    assert run_cli(command, raw) == (code, "", message + "\n")
 
 
 @pytest.mark.parametrize("name", ["non-object-root", "gate-invalid-datum", "etale-w-negative"])
@@ -939,11 +939,26 @@ def test_refused_documents_name_their_fault_through_the_process(name):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", message + "\n")
 
 
-def test_a_threshold_past_the_primality_range_is_refused_by_its_size(capsys):
+def test_main_writes_exactly_the_answer():
+    # the one test that swaps the process streams: main adds no byte to answer's
+    cases = [([command], json.dumps(doc)) for _, command, doc in GOLDEN]
+    cases += [([command], raw if isinstance(raw, str) else json.dumps(raw))
+              for command, raw, _, _ in REFUSED.values()]
+    for argv, text in cases + [([], "")]:
+        saved = sys.stdin, sys.stdout, sys.stderr
+        sys.stdin, sys.stdout, sys.stderr = io.StringIO(text), io.StringIO(), io.StringIO()
+        try:
+            written = cli.main(argv), sys.stdout.getvalue(), sys.stderr.getvalue()
+        finally:
+            sys.stdin, sys.stdout, sys.stderr = saved
+        assert written == cli.answer(argv, text), argv
+
+
+def test_a_threshold_past_the_primality_range_is_refused_by_its_size():
     # the least threshold, 4*2^(4*10^6), is refused by its size and never built
     doc = {"field": {"d": 2, "disc": 5, "h_plus": 10 ** 6}, "query": {"ell_E": 2, "ell": []}}
     started = time.process_time()
-    assert run_cli(capsys, "ec-irred", doc, "--min-ell") == (
+    assert run_cli("ec-irred", doc, "--min-ell") == (
         3, "", "precondition failure: every threshold reaches 10^4300, past the witness range\n")
     assert time.process_time() - started < 1
 
@@ -1009,16 +1024,8 @@ def _floats(value) -> list:
                                "query": {"b_w": 2, "ell_X": 3, "w": -1, "ell": [2, 17]}}), []))
 @example(("gate", json.dumps({"query": dict(GATE, s=1, u=1, d=-1)}), []))
 def test_every_document_ends_in_a_known_exit_with_a_message(case):
-    import contextlib, io
     command, text, flags = case
-    stdout, stderr, old_stdin = io.StringIO(), io.StringIO(), sys.stdin
-    sys.stdin = io.StringIO(text)
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            code = cli.main([command, *flags])
-    finally:
-        sys.stdin = old_stdin
-    out, err = stdout.getvalue(), stderr.getvalue()
+    code, out, err = run_cli(command, text, *flags)
     assert code in (0, 2, 3, 4)
     if code:
         assert out == "" and err.strip()

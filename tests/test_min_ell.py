@@ -2,9 +2,7 @@
 the ladders prime by prime too, but starts at the least threshold any
 situation can pass; the scan starts at 2, so it checks that start."""
 
-import io
 import json
-import sys
 import time
 
 from hypothesis import HealthCheck, example, given, settings
@@ -41,13 +39,7 @@ FIELDS = [
 
 def run_min_ell(command, doc):
     """(exit code, min_ell or None) of the CLI run with --min-ell."""
-    old_stdin, old_stdout, old_stderr = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin, sys.stdout, sys.stderr = io.StringIO(json.dumps(doc)), io.StringIO(), io.StringIO()
-    try:
-        code = cli.main([command, "--min-ell"])
-        out = sys.stdout.getvalue()
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = old_stdin, old_stdout, old_stderr
+    code, out, _ = cli.answer([command, "--min-ell"], json.dumps(doc))
     return code, json.loads(out)["min_ell"] if code == 0 else None
 
 

@@ -6,9 +6,7 @@ CLI certifies, at the query's primes and at its --min-ell answer, must pass
 `trace_checker`, which recomputes every claim from the input document and
 shares no code with the package."""
 
-import io
 import json
-import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -16,9 +14,12 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from semistable_gate import cli
 from trace_checker import check_empty, check_nonsplit, is_prime, thresholds
 
+# the cubic field of T^3 - T - 1: flagged, yet not Galois (its discriminant is no square)
+CUBIC_23 = {"d": 3, "disc": -23, "galois_odd_degree": True}
 FIELDS = [{"d": 1, "disc": 1}, {"d": 1, "disc": 1, "galois_odd_degree": True},
           *({"d": 2, "disc": disc} for disc in (5, 8, 12, 13, 4757)),
-          {"d": 3, "disc": 49}, {"d": 3, "disc": 49, "galois_odd_degree": True}]
+          {"d": 3, "disc": 49}, {"d": 3, "disc": 49, "galois_odd_degree": True},
+          CUBIC_23]
 # small primes, among them the discriminants' divisors and ell0 candidates
 SPECIAL = [2, 3, 5, 7, 13, 67, 71, 101]
 # --min-ell is asked only where every threshold is below this, so that
@@ -27,13 +28,7 @@ MIN_ELL_CAP = 10 ** 9
 
 
 def run(command: str, doc: dict, *flags: str) -> tuple[int, dict | None]:
-    old_stdin, old_stdout, old_stderr = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin, sys.stdout, sys.stderr = io.StringIO(json.dumps(doc)), io.StringIO(), io.StringIO()
-    try:
-        code = cli.main([command, *flags])
-        out = sys.stdout.getvalue()
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = old_stdin, old_stdout, old_stderr
+    code, out, _ = cli.answer([command, *flags], json.dumps(doc))
     return code, json.loads(out) if code == 0 else None
 
 
@@ -112,6 +107,9 @@ K5 = {"d": 2, "disc": 5, "h_plus": 1}
                      "params": {"n": 1, "ell0": 2, "r": 0, "variant": "bullet", "w": 2}}))
 @example(("decide", {"field": K5, "query": {"ell": [24593], "divides_disc": True},
                      "params": {"n": 3, "ell0": 2, "r": 1, "variant": "bullet", "w": 1}}))
+# the Trivial case holds only over a Galois field: not at 101, nor at 3 by --min-ell
+@example(("decide", {"field": {**CUBIC_23, "h_plus": 1}, "query": {"ell": [101]},
+                     "params": {"n": 1, "ell0": 2, "r": 0, "variant": "bullet", "w": 1}}))
 @example(("rt", {"field": {"d": 3, "disc": 49, "h_plus": 1},
                  "query": {"g": 1, "variant": "st", "ell": [1048583], "divides_disc": True}}))
 def test_every_empty_trace_is_true_in_fact(case):

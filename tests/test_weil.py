@@ -53,6 +53,19 @@ def test_functional_equation_odd_nw():
     assert not functional_equation_check(IntPolynomial((-2, 1)), 2, 1)
 
 
+@pytest.mark.parametrize("coeffs,q,w,holds", [
+    ((-2, 1), 4, 1, True),              # T*(4/T - 2) = 4 - 2T = -2*(T - 2)
+    ((-8, 1), 4, 3, True),              # T*(64/T - 8) = 64 - 8T = -8*(T - 8)
+    ((-3, 1), 4, 1, False),             # T^0: 4 != (-3)^2
+    ((3, 1), 9, 1, True),               # T*(9/T + 3) = 9 + 3T = 3*(T + 3)
+    ((-27, 9, -3, 1), 9, 1, True),      # (T - 3)(T^2 + 9): 729 - 243T + 81T^2 - 27T^3
+    ((3, -4, 1), 9, 1, False),          # (T - 1)(T - 3): T^0 says 81 = 3^2
+    ((4, -5, 1), 4, 1, True),           # (T - 1)(T - 4): 4/alpha swaps the roots, which
+])                                      # are off the circle: necessary, not sufficient
+def test_functional_equation_at_a_square_q(coeffs, q, w, holds):
+    assert functional_equation_check(IntPolynomial(coeffs), q, w) is holds
+
+
 def test_enumerate_weil_quadratics_examples():
     polys = enumerate_weil_quadratics(2, 1)
     assert sorted(-p.coeffs[1] for p in polys) == [-2, -1, 0, 1, 2]
@@ -83,12 +96,32 @@ def test_weil_datum_constraints():
         WeilDatum(IntPolynomial((2, 1, 1)), 2, (1,), 2)    # size mismatch
 
 
-@given(st.sampled_from([2, 3, 5]), st.integers(0, 2), st.integers(0, 2))
-def test_functional_equation_holds_on_weil_quadratics(q, w, idx):
-    polys = enumerate_weil_quadratics(q, w)
-    p = polys[idx % len(polys)]
+@st.composite
+def uniform_weight_products(draw):
+    """(f, q, w): a product of Weil quadratics of weight w and, where q^w is
+    a square, linear factors T +- q^(w/2), with every root on |z| = q^(w/2)."""
+    q, w = draw(st.sampled_from([2, 3, 4, 8, 9, 25, 27])), draw(st.integers(0, 3))
+    quadratics = enumerate_weil_quadratics(q, w)
+    factors = draw(st.lists(st.sampled_from(quadratics), max_size=3))
+    root = math.isqrt(q ** w)
+    if root * root == q ** w:
+        factors += draw(st.lists(st.sampled_from([IntPolynomial((-root, 1)),
+                                                  IntPolynomial((root, 1))]), max_size=3))
+    assume(factors)
+    f = IntPolynomial((1,))
+    for g in factors:
+        f = poly_mul(f, g)
+    return f, q, w
+
+
+@given(uniform_weight_products())
+@example((IntPolynomial((-2, 1)), 4, 1))
+@example((IntPolynomial((-27, 9, -3, 1)), 9, 1))
+def test_functional_equation_holds_on_weil_quadratics(case):
     # necessary condition: every genuine uniform-weight datum passes
-    assert functional_equation_check(p, q, w)
+    f, q, w = case
+    assert validate_weights(f, q, [w] * f.degree)
+    assert functional_equation_check(f, q, w)
 
 
 def test_roots_on_the_real_axis_and_at_zero():

@@ -68,7 +68,9 @@ def _facts(doc: dict, ell: int) -> dict:
     d, disc = field["d"], field["disc"]
     facts = {
         "degree_odd": d % 2 == 1,
-        "galois_odd_degree": field.get("galois_odd_degree", False) and d % 2 == 1,
+        # odd-degree Galois: a positive square discriminant, which at d = 3 suffices
+        "galois_odd_degree": field.get("galois_odd_degree", False)
+                             and (d == 1 or d == 3 and disc > 0 and isqrt(disc) ** 2 == disc),
         "ell_ne_ell0": ell != p.get("ell0", q.get("ell0")),
         # over Q nothing divides the discriminant 1; a set flag forbids the claim
         "ell_not_dividing_disc": d == 1 or (disc % ell != 0 and not q.get("divides_disc", False)),
