@@ -24,7 +24,8 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .errors import DIGIT_CEILING, DIGIT_LIMIT, PreconditionError, brief, min_digits
+from .errors import (DIGIT_CEILING, DIGIT_LIMIT, PreconditionError, SchemaError, brief,
+                     min_digits)
 from .primes import next_prime
 
 
@@ -35,11 +36,11 @@ class FieldInvariants(namedtuple("FieldInvariants", "d disc h_plus galois_odd_de
 
     def __new__(cls, d: int, disc: int, h_plus: int, galois_odd_degree: bool = False):
         if d < 1 or h_plus < 1:
-            raise ValueError("d and h_plus must be positive")
+            raise SchemaError("d and h_plus must be positive")
         if disc == 0:
-            raise ValueError("discriminant must be nonzero")
+            raise SchemaError("discriminant must be nonzero")
         if galois_odd_degree and d % 2 == 0:
-            raise ValueError("galois_odd_degree requires odd d")
+            raise SchemaError("galois_odd_degree requires odd d")
         return super().__new__(cls, d, disc, h_plus, galois_odd_degree)
 
 
@@ -54,19 +55,19 @@ class RepFamilyParams(namedtuple("RepFamilyParams", "n ell0 r variant w w_bar cy
     def __new__(cls, n: int, ell0: int, r: int, variant: str, w: int | None = None,
                 w_bar: int | None = None, cyclotomic: bool = False):
         if n < 1 or r < 0:
-            raise ValueError("need n >= 1 and r >= 0")
+            raise SchemaError("need n >= 1 and r >= 0")
         if variant == "bullet":
             if w is None or w_bar is not None:
-                raise ValueError("bullet variant takes w only; w_bar is derived")
+                raise SchemaError("bullet variant takes w only; w_bar is derived")
             if w < 0:
-                raise ValueError("w must be non-negative")
+                raise SchemaError("w must be non-negative")
         elif variant == "circle":
             if w_bar is None or w is not None:
-                raise ValueError("circle variant takes w_bar only")
+                raise SchemaError("circle variant takes w_bar only")
             if w_bar < 0:
-                raise ValueError("w_bar must be non-negative")
+                raise SchemaError("w_bar must be non-negative")
         else:
-            raise ValueError(f"unknown variant {variant!r}")
+            raise SchemaError(f"unknown variant {variant!r}")
         return super().__new__(cls, n, ell0, r, variant, w, w_bar, cyclotomic)
 
     @property
@@ -219,11 +220,11 @@ def rt_setting(inv: FieldInvariants, g: int, variant: str,
     ell0 is given exactly for st_with_ell0.
     """
     if variant not in ("st", "st_with_ell0"):
-        raise ValueError(f"variant must be 'st' or 'st_with_ell0', got {variant!r}")
+        raise SchemaError(f"variant must be 'st' or 'st_with_ell0', got {variant!r}")
     if variant == "st_with_ell0" and ell0 is None:
-        raise ValueError("ell0 is required for variant 'st_with_ell0'")
+        raise SchemaError("ell0 is required for variant 'st_with_ell0'")
     if variant == "st" and ell0 is not None:
-        raise ValueError("ell0 is only meaningful for variant 'st_with_ell0'")
+        raise SchemaError("ell0 is only meaningful for variant 'st_with_ell0'")
     if g < 1:
         raise PreconditionError("g must be positive")
     if variant == "st":

@@ -14,12 +14,12 @@ recursion depth) or a closed standard output.
 params, query), the record built from it and each key's schema type: int,
 bool, str, "int_list" (an integer or a list of integers), "prime",
 "prime_list" (an integer or a list, each entry prime) or "prime_power".
-Every type is checked before the prime tests, and a record's ValueError is
-a schema error, as is that of a library check on the query itself (one
-weight per root, one t per eigenvalue, s >= 0, rt's variant and ell0), so a
-document with two faults may report either.  A setting or a gate instance
-checks its own domain when built, once per document whatever its ell list
-holds: a family outside a theorem's domain is a precondition failure.
+Every type is checked before the prime tests; then the records and library
+functions, called directly, raise the class of their exit code where they
+find a fault, so a document with two faults may report either.  A setting or
+a gate instance checks its own domain when built, once per document whatever
+its ell list holds.  Any other ValueError or OverflowError is Python's own
+(the int-to-str limit on output, say): a precondition failure.
 
 `answer`, the in-process entry, maps argv and the input's text to (exit
 code, stdout, stderr) and writes no stream; `main` only writes that triple.
@@ -168,18 +168,7 @@ def _section(doc: dict, name: str, make, required: dict, optional: dict):
     """The record `make` builds from the document's section `name`."""
     if name not in doc:
         raise SchemaError(f"missing {name!r} section")
-    return _record(make, **_take(doc[name], name, required, optional))
-
-
-def _record(make, *args, **kwargs):
-    """make(*args, **kwargs), a ValueError it raises being a schema error
-    (a PreconditionError stays one)."""
-    try:
-        return make(*args, **kwargs)
-    except PreconditionError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+    return make(**_take(doc[name], name, required, optional))
 
 
 def _take(d, where: str, required: dict, optional: dict) -> dict:
@@ -229,11 +218,6 @@ def _coerce(value, typ, where: str):
     raise AssertionError(f"unhandled schema type {typ}")
 
 
-def _poly(coeffs: list[int]) -> IntPolynomial:
-    from .intpoly import IntPolynomial
-    return _record(IntPolynomial, tuple(coeffs))
-
-
 def _dispatch(command: str, doc: dict, args: argparse.Namespace) -> dict:
     """Check the top-level sections, read the field, params and query the
     command takes, and wrap its handler's body in the certificate."""
@@ -253,7 +237,7 @@ def _cmd_constants(inv, p, query, args) -> dict:
 
 class _Decision(namedtuple("_Decision", "settings")):
     """Handler of a decision command: `settings(inv, p, query)` gives its
-    settings, built once through `_record`.  With several settings, each ell
+    settings, built once per document.  With several settings, each ell
     lists the verdict of every setting, leaving out those that refuse it
     (`Setting.refuses`); with one, the entry is its verdict, and a refused
     ell is a precondition failure."""
@@ -261,7 +245,7 @@ class _Decision(namedtuple("_Decision", "settings")):
     __slots__ = ()
 
     def __call__(self, inv, p, query, args) -> dict:
-        settings = _record(self.settings, inv, p, query)
+        settings = self.settings(inv, p, query)
         several = len(settings) > 1
         flags = (query.get("divides_disc", False), query.get("splits_in_K", False))
         body: dict = {"verdicts": []}
@@ -284,7 +268,7 @@ def _cmd_tame_weights(inv, p, query, args) -> dict:
     from .tame import TameCharacterExponent, canonical_exponent, digit_weights, frobenius_orbit
     if len(query["ell"]) != 1:
         raise SchemaError("tame-weights takes a single prime ell")
-    c = _record(TameCharacterExponent, query["ell"][0], query["h"], query["n_f"])
+    c = TameCharacterExponent(query["ell"][0], query["h"], query["n_f"])
     return {
         "digits": sorted(digit_weights(c).elements()),
         "canonical": canonical_exponent(c),
@@ -293,9 +277,10 @@ def _cmd_tame_weights(inv, p, query, args) -> dict:
 
 
 def _cmd_weil_check(inv, p, query, args) -> dict:
+    from .intpoly import IntPolynomial
     from .weil import functional_equation_check, validate_weights
-    poly, weights = _poly(query["poly"]), query["weights"]
-    body: dict = {"weights_valid": _record(validate_weights, poly, query["q"], weights)}
+    poly, weights = IntPolynomial(query["poly"]), query["weights"]
+    body: dict = {"weights_valid": validate_weights(poly, query["q"], weights)}
     uniform = len(set(weights)) <= 1
     if uniform and weights:
         body["functional_equation"] = functional_equation_check(
@@ -304,8 +289,8 @@ def _cmd_weil_check(inv, p, query, args) -> dict:
 
 
 def _cmd_power_transform(inv, p, query, args) -> dict:
-    from .intpoly import power_transform
-    poly, s = _poly(query["poly"]), query["s"]
+    from .intpoly import IntPolynomial, power_transform
+    poly, s = IntPolynomial(query["poly"]), query["s"]
     # the result's constant term is +-c_0^s: refused unbuilt past the digit limit
     if min_digits((abs(poly.coeffs[0]).bit_length() - 1) * s) > DIGIT_LIMIT:
         raise PreconditionError(f"query.s = {brief(s)}: c_0^s has more than {DIGIT_LIMIT} digits")
@@ -323,17 +308,18 @@ def _cmd_power_transform(inv, p, query, args) -> dict:
             raise PreconditionError(
                 f"query.s = {brief(s)}: f_s has a coefficient of more than {DIGIT_LIMIT} digits")
     # the pass's f_k is the answer at k = s
-    f_s = built[s] if s in built else _record(power_transform, poly, s)
+    f_s = built[s] if s in built else power_transform(poly, s)
     return {"result": list(f_s.coeffs)}
 
 
 def _cmd_gate(inv, p, query, args) -> dict:
     from .gate import CongruenceInstance, forced_equality
+    from .intpoly import IntPolynomial
     from .weil import WeilDatum
     w_bar = query.get("w_bar", sum(query["weights"]))
-    datum = _record(WeilDatum, _poly(query["poly"]), query["q"], tuple(query["weights"]), w_bar)
-    inst = _record(CongruenceInstance, datum, query["s"], query["u"], tuple(query["t"]),
-                   d=query.get("d", 1), r=query.get("r", 1))
+    datum = WeilDatum(IntPolynomial(query["poly"]), query["q"], query["weights"], w_bar)
+    inst = CongruenceInstance(datum, query["s"], query["u"], query["t"],
+                              d=query.get("d", 1), r=query.get("r", 1))
     return {"verdicts": [{"ell": ell, **forced_equality(inst, ell)._asdict()}
                          for ell in query["ell"]]}
 

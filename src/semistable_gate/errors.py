@@ -1,6 +1,7 @@
 """The package's exceptions: one class per CLI exit code, schema errors
 (2), domain precondition failures (3) and internal consistency failures
-(4); the message says which fault it was."""
+(4), each raised where its fault is found; the message says which fault it
+was."""
 
 # Python's default int-to-str limit, which the CLI sets whatever the
 # environment says: a certificate prints no longer integer
@@ -15,7 +16,7 @@ def min_digits(bits: int) -> int:
 
 
 class SchemaError(ValueError):
-    """Malformed or unknown-key input document."""
+    """A value of the wrong shape for the record or function given it."""
 
 
 class PreconditionError(ValueError):

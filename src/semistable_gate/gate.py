@@ -19,7 +19,8 @@ from collections.abc import Iterator
 from itertools import combinations_with_replacement
 
 from .bounds import lemma_bound, size_exponent
-from .errors import DIGIT_LIMIT, InternalConsistencyError, PreconditionError, brief
+from .errors import (DIGIT_LIMIT, InternalConsistencyError, PreconditionError, SchemaError,
+                     brief)
 from .intpoly import IntPolynomial, from_prime_power_roots, poly_mul, power_transform
 from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
@@ -29,14 +30,14 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t d r bound
     """The congruence {alpha_k^s} = {q^(t_k)} mod any prime ell, for a Weil
     datum over a field of degree d with Hodge-Tate bound r; t is kept sorted,
     and bound, 2*c_n*ell0^(d*M*u), is refused past DIGIT_LIMIT digits.  A t of
-    the wrong length is a ValueError, any other fault a PreconditionError."""
+    the wrong length is a SchemaError, any other fault a PreconditionError."""
 
     __slots__ = ()
 
     def __new__(cls, datum: WeilDatum, s: int, u: int, t, d: int = 1, r: int = 1):
         n, t = datum.poly.degree, tuple(sorted(int(x) for x in t))
         if len(t) != n:
-            raise ValueError("t must have one entry per eigenvalue")
+            raise SchemaError("t must have one entry per eigenvalue")
         if not 0 <= s <= u:
             raise PreconditionError(f"need 0 <= s <= u, got s={brief(s)}, u={brief(u)}")
         if any(not 0 <= tk <= r * u for tk in t):
@@ -91,7 +92,7 @@ def forced_equality(inst: CongruenceInstance, ell: int) -> GateVerdict:
 
 def _weight_one_products(q: int, n: int) -> Iterator[IntPolynomial]:
     """Monic degree-n products of weight-1 Weil quadratics at q."""
-    quadratics = enumerate_weil_quadratics(q, 1)
+    quadratics = enumerate_weil_quadratics(q)
     for combo in combinations_with_replacement(quadratics, n // 2):
         poly = combo[0]
         for g in combo[1:]:
@@ -116,7 +117,7 @@ def counterexample_search(
     at or below the instance's forcing bound.
     """
     if n < 2 or n % 2 != 0 or n > 4:
-        raise ValueError("n must be 2 or 4")
+        raise PreconditionError("n must be 2 or 4")
     ell0 = prime_power_base(q)
     # counted, not listed: the products are multisets of n/2 of the 2*isqrt(4q)+1
     # quadratics, and the t count, sum(comb(s+n, n) for s in 1..s_max), is closed-form

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import count, islice
 from operator import mul
 
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import InternalConsistencyError, PreconditionError, SchemaError
 
 DEGREE_CAP = 64
 
@@ -30,9 +30,9 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     def __new__(cls, coeffs: Iterable[int]):
         coeffs = tuple(int(c) for c in coeffs)
         if not coeffs:
-            raise ValueError("empty coefficient sequence")
+            raise SchemaError("empty coefficient sequence")
         if coeffs[-1] != 1:
-            raise ValueError(f"polynomial is not monic: leading coefficient {coeffs[-1]}")
+            raise SchemaError(f"polynomial is not monic: leading coefficient {coeffs[-1]}")
         if len(coeffs) > DEGREE_CAP + 1:
             raise PreconditionError(f"degree {len(coeffs) - 1} exceeds cap {DEGREE_CAP}")
         return super().__new__(cls, coeffs)
@@ -149,7 +149,7 @@ def power_transform(f: IntPolynomial, s: int) -> IntPolynomial:
     from p_s, p_2s, ..., p_ns, read off the stream of power sums.  s = 0 sends
     every root to 1, giving (T-1)^n."""
     if s < 0:
-        raise ValueError("s must be non-negative")
+        raise SchemaError("s must be non-negative")
     n = f.degree
     if s == 0:
         return IntPolynomial((-1) ** (n - i) * math.comb(n, i) for i in range(n + 1))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import brief
+from .errors import PreconditionError, brief
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10^24.
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -18,7 +18,7 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _WITNESS_LIMIT:
-        raise ValueError(f"primality of {brief(n)} exceeds the deterministic witness range")
+        raise PreconditionError(f"primality of {brief(n)} exceeds the deterministic witness range")
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

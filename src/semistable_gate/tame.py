@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 
-from .errors import DIGIT_CEILING, DIGIT_LIMIT, PreconditionError, brief, min_digits
+from .errors import (DIGIT_CEILING, DIGIT_LIMIT, PreconditionError, SchemaError, brief,
+                     min_digits)
 from .primes import is_prime
 
 
@@ -20,9 +21,9 @@ class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level expon
 
     def __new__(cls, ell: int, level: int, exponent: int):
         if not is_prime(ell):
-            raise ValueError(f"ell = {brief(ell)} is not prime")
+            raise SchemaError(f"ell = {brief(ell)} is not prime")
         if level < 1:
-            raise ValueError("level must be positive")
+            raise SchemaError("level must be positive")
         # a nonzero exponent's orbit rotates a nonzero digit to the top: an integer >= ell^(level-1)
         if (min_digits((ell.bit_length() - 1) * (level - 1)) > DIGIT_LIMIT
                 or ell ** (level - 1) >= DIGIT_CEILING):
@@ -30,7 +31,7 @@ class TameCharacterExponent(namedtuple("TameCharacterExponent", "ell level expon
                                     f"exponent holds an integer of more than {DIGIT_LIMIT} digits")
         modulus = ell ** level - 1
         if not 0 <= exponent <= modulus - 1:
-            raise ValueError(f"exponent must lie in [0, {brief(modulus - 1)}], got {brief(exponent)}")
+            raise SchemaError(f"exponent must lie in [0, {brief(modulus - 1)}], got {brief(exponent)}")
         return super().__new__(cls, ell, level, exponent)
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import PreconditionError, brief
+from .errors import PreconditionError, SchemaError, brief
 from .intpoly import IntPolynomial, poly_gcd, power_transform, real_root_count, synthetic_division
 
 
@@ -28,9 +28,9 @@ class WeilDatum(namedtuple("WeilDatum", "poly q weights weight_budget")):
     def __new__(cls, poly: IntPolynomial, q: int, weights, weight_budget: int):
         weights = tuple(sorted(int(w) for w in weights))
         if any(w < 0 for w in weights):
-            raise ValueError("weights must be non-negative")
+            raise SchemaError("weights must be non-negative")
         if sum(weights) > weight_budget:
-            raise ValueError(f"total weight {brief(sum(weights))} exceeds budget {brief(weight_budget)}")
+            raise SchemaError(f"total weight {brief(sum(weights))} exceeds budget {brief(weight_budget)}")
         if not validate_weights(poly, q, weights):
             raise PreconditionError("datum fails the root absolute-value check")
         return super().__new__(cls, poly, q, weights, weight_budget)
@@ -41,7 +41,7 @@ def validate_weights(poly: IntPolynomial, q: int, weights) -> bool:
     circle |z| = q^w carries as many roots alpha^2 as w has entries."""
     weights = sorted(int(w) for w in weights)
     if len(weights) != poly.degree:
-        raise ValueError("weight multiset size must equal the polynomial degree")
+        raise SchemaError("weight multiset size must equal the polynomial degree")
     if weights and weights[0] < 0:
         return False  # alpha * conj(alpha) = q^w < 1 is no algebraic integer
     F = power_transform(poly, 2).coeffs
@@ -105,16 +105,17 @@ def functional_equation_check(poly: IntPolynomial, q: int, w: int) -> bool:
                for i, c in enumerate(poly.coeffs))
 
 
-def enumerate_weil_quadratics(q: int, w: int) -> list[IntPolynomial]:
-    """All T^2 - a*T + q^w with integer a, |a| <= 2*q^{w/2}.
+def enumerate_weil_quadratics(c: int) -> list[IntPolynomial]:
+    """All T^2 - a*T + c with integer a, |a| <= 2*sqrt(c): for c = q^w, the
+    Weil quadratics of weight w, 2*isqrt(4c) + 1 of them (the count
+    `gate.counterexample_search` budgets before it lists any).
 
-    Every such quadratic has both roots of absolute value q^{w/2}:
-    the discriminant is <= 0 off the boundary (conjugate pair of product
-    q^w), and the boundary gives a double real root of absolute value
-    q^{w/2} exactly when q^w is a perfect square.
+    Every such quadratic has both roots of absolute value sqrt(c): the
+    discriminant is <= 0 off the boundary (conjugate pair of product c), and
+    the boundary gives a double real root of absolute value sqrt(c) exactly
+    when c is a perfect square.
     """
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    qw = q ** w
-    a_max = math.isqrt(4 * qw)
-    return [IntPolynomial((qw, -a, 1)) for a in range(-a_max, a_max + 1)]
+    if c < 1:
+        raise ValueError("c must be positive")
+    a_max = math.isqrt(4 * c)
+    return [IntPolynomial((c, -a, 1)) for a in range(-a_max, a_max + 1)]

@@ -145,9 +145,36 @@ EXTRA_CHECKS = {
         and cert["constants"]["M"] == "2/1" and cert["constants"]["c_n"] == 2),
 }
 
-# commands the benchmark derives no body for, kept out of CASES, whose every
-# entry it reads: (name, command, document, check of the certificate), each
-# expected value derived by hand
+def ladder(cert):
+    """Every verdict of a decision certificate, ell by ell, as (theorem,
+    conclusion, situation, threshold, trace), each trace entry a pair."""
+    return [(v["theorem"], v["conclusion"], v["situation"], v["threshold"],
+             [tuple(h) for h in v["trace"]])
+            for entry in cert["verdicts"] for v in entry.get("verdicts", [entry])]
+
+
+T, F = True, False
+D3 = {"d": 3, "disc": 49, "h_plus": 1}   # the cubic subfield of Q(zeta_7)
+D2_37 = {"d": 2, "disc": 37, "h_plus": 1}  # Q(sqrt 37): 37 ramifies; 6+sqrt 37 has norm -1
+NONSPLIT = ("ell_does_not_split_in_K", T)
+
+
+def trivial_gate(n_odd, w_odd):
+    # no field below is flagged Galois of odd degree, and no ell is ell0
+    return [("n_odd", n_odd), ("w_odd", w_odd), ("galois_odd_degree", F), ("ell_ne_ell0", T)]
+
+
+def cor_pair(situation, threshold, hypotheses):
+    """Cor1 and Cor2 certifying Empty in the same situation: h_plus = 1, so
+    Cor2's primed thresholds are Cor1's."""
+    return [("Cor1", "Empty", situation, threshold, [("w_odd_or_w_gt_2r", T), *hypotheses]),
+            ("Cor2", "Empty", situation, threshold,
+             [("w_odd_or_w_gt_2r", T), NONSPLIT, *hypotheses])]
+
+
+# commands or situations the benchmark derives no body for, kept out of
+# CASES, whose every entry it reads: (name, command, document, check of the
+# certificate), each expected value derived by hand
 OTHER_CASES = [
     # roots a, b of T^2+T+2: a^2+b^2 = (a+b)^2 - 2ab = 1 - 4 = -3 and
     # a^2*b^2 = 4, so the squares are the roots of T^2+3T+4
@@ -166,4 +193,83 @@ OTHER_CASES = [
      {"query": {"ell": 3, "h": 2, "n_f": 5}},
      lambda cert: cert["digits"] == [1, 2] and cert["orbit"] == [5, 7]
      and cert["canonical"] == 5),
+
+    # A situation after (a) fires only where (a)'s hypotheses fail.  Each
+    # threshold is 2*c_n*ell0^ceil(e), M = max(n*r, n*w/2), e = d*M (a) or
+    # d^2*M (b); the least prime above it comes from trial division.
+
+    # n = 1, r = 0, w = 1: M = 1/2, c_1 = 1; d = 3: (a) 2*2^ceil(3/2) = 8,
+    # (b) 2*2^ceil(9/2) = 64.  ell | disc (flagged) fails (a); d is odd: (b)
+    ("cor_situation_b_64", "decide",
+     {"field": D3, "params": bullet(1, 2, 0, 1, True), "query": {"ell": 67, "divides_disc": True}},
+     lambda cert: ladder(cert) == [
+         ("Trivial", "NotDecided", None, 0, trivial_gate(T, T)),
+         *cor_pair("b", 64, [("w_odd", T), ("degree_odd", T), ("ell_gt_threshold", T)])]),
+
+    # n = 2, r = 0, w = 2 over Q: M = 2, c_2 = 2, (a) = (b) = 2*2*3^2 = 36.
+    # w is even, so (a) and (b) fail; w = 2 > 2r: (c)
+    ("cor_situation_c_36", "decide",
+     {"field": Q1, "params": bullet(2, 3, 0, 2, True), "query": {"ell": 37}},
+     lambda cert: ladder(cert) == [
+         ("Trivial", "NotDecided", None, 0, trivial_gate(F, F)),
+         *cor_pair("c", 36, [("w_gt_2r", T), ("ell_not_dividing_disc", T),
+                             ("ell_gt_threshold", T)])]),
+
+    # n = 1, r = 0, w = 2: M = 1, c_1 = 1; d = 2: (a) 2*2^2 = 8, (b) 2*2^4 = 32.
+    # w is even; 37 divides the discriminant 37, so (c) fails: (d)
+    ("cor_situation_d_32", "decide",
+     {"field": D2_37, "params": bullet(1, 2, 0, 2, True), "query": {"ell": 37}},
+     lambda cert: ladder(cert) == [
+         ("Trivial", "NotDecided", None, 0, trivial_gate(T, F)),
+         *cor_pair("d", 32, [("w_gt_2r", T), ("ell_gt_threshold", T)])]),
+
+    # n = 1, r = 1, w = 1: M = 1, c_1 = 1; d = 2: (a) 8, (b) 32.  37 | 37
+    # fails (a), d even (b), w = 1 <= 2r (c) and (d); n and w are odd: (e)
+    ("cor_situation_e_32", "decide",
+     {"field": D2_37, "params": bullet(1, 2, 1, 1, True), "query": {"ell": 37}},
+     lambda cert: ladder(cert) == [
+         ("Trivial", "NotDecided", None, 0, trivial_gate(T, T)),
+         *cor_pair("e", 32, [("w_odd", T), ("n_odd", T), ("ell_gt_threshold", T)])]),
+
+    # 4*ell_E^(2dh) = 4*2^6 = 256 and 4*ell_E^(2d^2h) = 4*2^18 = 1048576;
+    # ell | disc (flagged) fails (a); d = 3 is odd: (b)
+    ("ec_irred_situation_b_1048576", "ec-irred",
+     {"field": D3, "query": {"ell_E": 2, "ell": 1048583, "divides_disc": True}},
+     lambda cert: ladder(cert) == [
+         ("Ell", "Empty", "b", 1048576,
+          [NONSPLIT, ("degree_odd", T), ("ell_gt_threshold", T)])]),
+
+    # 2*c_2*ell_X^(d*b_w*w*h) = 4*3^6 = 2916 and 4*3^(9*2) = 1549681956
+    ("etale_situation_b_1549681956", "etale",
+     {"field": D3, "query": {"b_w": 2, "ell_X": 3, "w": 1, "ell": 1549681967,
+                             "divides_disc": True}},
+     lambda cert: ladder(cert) == [
+         ("Et", "Empty", "b", 1549681956,
+          [NONSPLIT, ("degree_odd", T), ("ell_gt_threshold", T)])]),
+
+    # g = 2, c_4 = 6: 2*6*ell0^(2dgh) = 12*2^12 = 49152 and 12*2^(2*9*2) = 824633720832
+    ("rt_grt_situation_b_824633720832", "rt",
+     {"field": D3, "query": {"g": 2, "variant": "st_with_ell0", "ell0": 2, "ell": 824633720837,
+                             "divides_disc": True}},
+     lambda cert: ladder(cert) == [
+         ("GRTst", "Empty", "b", 824633720832,
+          [NONSPLIT, ("degree_odd", T), ("ell_gt_threshold", T)])]),
+
+    # over Q both thresholds are 2*c_2*2^2 = 16, and 13 passes neither
+    ("etale_below_threshold_13", "etale",
+     {"field": Q1, "query": {"b_w": 2, "ell_X": 2, "w": 1, "ell": 13}},
+     lambda cert: ladder(cert) == [
+         ("Et", "NotDecided", None, 0,
+          [NONSPLIT, ("a:ell_not_dividing_disc", T), ("a:ell_gt_threshold", F),
+           ("b:degree_odd", T), ("b:ell_gt_threshold", F)])]),
+
+    # 1031 = 1 mod 5 splits in Q(sqrt 5), as flagged: past both thresholds,
+    # 4*2^4 = 64 and 4*2^8 = 1024, the gate still fails
+    ("rt_grt_split_gated", "rt",
+     {"field": {"d": 2, "disc": 5, "h_plus": 1},
+      "query": {"g": 1, "variant": "st_with_ell0", "ell0": 2, "ell": 1031, "splits_in_K": True}},
+     lambda cert: ladder(cert) == [
+         ("GRTst", "NotDecided", None, 0,
+          [("ell_does_not_split_in_K", F), ("a:ell_not_dividing_disc", T),
+           ("a:ell_gt_threshold", T), ("b:degree_odd", F), ("b:ell_gt_threshold", T)])]),
 ]

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import resource
@@ -146,6 +147,44 @@ def test_gate_search_certificate_bytes(config, sha):
                            {"query": {"q": q, "n": n, "s_max": s_max, "ell_max": ell_max}})
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def _quadratic_sweep(q, s_max, ell_max):
+    """gate-search's cells at a prime q and n = 2, enumerated without intpoly,
+    and its equal cells.  The left side, from T^2 - a*T + q with
+    |a| <= 2*sqrt(q), is T^2 - V_s*T + q^s, with V_0 = 2, V_1 = a and
+    V_k = a*V_(k-1) - q*V_(k-2); the right side is
+    T^2 - (q^t1 + q^t2)*T + q^(t1+t2), 0 <= t1 <= t2 <= s.  A cell is
+    reported at each prime ell <= ell_max other than q that divides both
+    coefficient differences, unless the sides are equal; its bound is
+    2*c_2*q^(d*M*u) = 4*q^(2s)."""
+    primes = [ell for ell in range(2, ell_max + 1) if ell != q
+              and all(ell % k for k in range(2, ell))]
+    cells, equal = [], []
+    for a in range(-math.isqrt(4 * q), math.isqrt(4 * q) + 1):
+        v = [2, a]
+        for s in range(1, s_max + 1):
+            v.append(a * v[-1] - q * v[-2])
+            for t1 in range(s + 1):
+                for t2 in range(t1, s + 1):
+                    lin, const = q ** t1 + q ** t2 - v[s], q ** s - q ** (t1 + t2)
+                    if lin == const == 0:
+                        equal.append(([q, -a, 1], s, [t1, t2]))
+                        continue
+                    cells += [([q, -a, 1], s, [t1, t2], ell, 4 * q ** (2 * s))
+                              for ell in primes if lin % ell == const % ell == 0]
+    keys = ("poly", "s", "t", "ell", "bound")
+    return [dict(zip(keys, cell)) for cell in sorted(cells)], equal
+
+
+def test_gate_search_skips_the_equal_cell():
+    # the fourth powers of T^2 + 2's roots +-i*sqrt(2) are 4 and 4: V_4 = 8 = 2^2 + 2^2
+    expected, equal = _quadratic_sweep(2, 4, 50)
+    assert equal == [([2, 0, 1], 4, [2, 2])]
+    code, out, _ = run_cli("gate-search", {"query": {"q": 2, "n": 2, "s_max": 4, "ell_max": 50}})
+    cert = json.loads(out)
+    assert (code, cert["count"]) == (0, 45)
+    assert cert["instances"] == expected
 
 
 def test_schema_unknown_key_exit_2():
@@ -492,6 +531,9 @@ def test_memory_error_exits_4_without_a_traceback():
     (2 ** 100, 0, 19, (), 0),                    # no s: an empty corpus
     (2 ** 60, 1, 2, (), 0),                      # no prime up to 2 but ell0 = 2
     (2, 10 ** 18, 19, (), 3),                    # the t count is closed-form in s_max
+    (2, 4, 1, (), 0),                            # no prime up to ell_max: nothing to sieve
+    (2, 4, 0, (), 0),
+    (2, 4, -5, (), 0),
 ])
 def test_gate_search_counts_its_corpus_before_listing_it(q, s_max, ell_max, flags, code):
     doc = {"query": {"q": q, "n": 2, "s_max": s_max, "ell_max": ell_max}}
@@ -897,6 +939,9 @@ REFUSED = {
     "rt-missing-ell0": (
         "rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "st_with_ell0", "ell": 17}}, 2,
         "schema error: ell0 is required for variant 'st_with_ell0'"),
+    "rt-st-with-an-ell0": (
+        "rt", {"field": RT_FIELD, "query": {"g": 1, "variant": "st", "ell0": 3, "ell": 17}}, 2,
+        "schema error: ell0 is only meaningful for variant 'st_with_ell0'"),
     "gate-invalid-datum": ("gate", {"query": dict(GATE, poly=[2, 5, 1])}, 3,
                            "precondition failure: datum fails the root absolute-value check"),
     "weil-check-weights": (
@@ -907,6 +952,11 @@ REFUSED = {
     "etale-w-negative": (
         "etale", {"field": RT_FIELD, "query": {"b_w": 2, "ell_X": 2, "w": -1, "ell": []}}, 3,
         "precondition failure: w must be positive, got -1"),
+    "etale-b_w-zero": (
+        "etale", {"field": RT_FIELD, "query": {"b_w": 0, "ell_X": 2, "w": 1, "ell": 17}}, 3,
+        "precondition failure: b_w must be positive"),
+    "tame-weights-two-ells": ("tame-weights", {"query": {"ell": [3, 5], "h": 2, "n_f": 4}}, 2,
+                              "schema error: tame-weights takes a single prime ell"),
     "gate-d-zero": ("gate", {"query": dict(GATE, d=0)}, 3,
                     "precondition failure: d must be positive, got 0"),
     # the instance is built once per document, so an empty ell list does not skip its checks

@@ -1,8 +1,9 @@
 """The contract of the package's immutable records: fields cannot be
 assigned, equal records are equal and hash alike, keyword and default
 construction work, invalid arguments raise ValueError with a fixed message
-(a gate's ell by `forced_equality`, as a `CongruenceInstance` has none),
-and the fields that are normalised (coerced to int, sorted) stay so."""
+(a gate's ell by `forced_equality`, as a `CongruenceInstance` has none), a
+value of the wrong shape raising SchemaError where it is found, and the
+fields that are normalised (coerced to int, sorted) stay so."""
 
 from fractions import Fraction
 
@@ -14,11 +15,15 @@ from semistable_gate.bounds import (
     Setting,
     Verdict,
     derived_constants,
+    rt_setting,
 )
-from semistable_gate.gate import CongruenceInstance, GateVerdict, forced_equality
-from semistable_gate.intpoly import IntPolynomial
+from semistable_gate.errors import PreconditionError, SchemaError
+from semistable_gate.gate import (CongruenceInstance, GateVerdict, counterexample_search,
+                                  forced_equality)
+from semistable_gate.intpoly import IntPolynomial, power_transform
+from semistable_gate.primes import is_prime
 from semistable_gate.tame import TameCharacterExponent
-from semistable_gate.weil import WeilDatum
+from semistable_gate.weil import WeilDatum, validate_weights
 
 QUAD = IntPolynomial((2, 1, 1))
 DATUM = WeilDatum(QUAD, 2, (1, 1), 2)
@@ -99,6 +104,55 @@ def test_keyword_and_default_construction():
 ])
 def test_invalid_arguments_raise_the_same_messages(build, message):
     with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+# every wrong-shape fault a document can reach, raised where it is found:
+# the CLI maps SchemaError to exit 2 and wraps no call
+WRONG_SHAPES = [
+    (lambda: FieldInvariants(0, 1, 1), "d and h_plus must be positive"),
+    (lambda: FieldInvariants(1, 0, 1), "discriminant must be nonzero"),
+    (lambda: FieldInvariants(2, 5, 1, True), "galois_odd_degree requires odd d"),
+    (lambda: RepFamilyParams(2, 2, -1, "bullet", w=1), "need n >= 1 and r >= 0"),
+    (lambda: RepFamilyParams(2, 2, 1, "bullet", w=1, w_bar=2),
+     "bullet variant takes w only; w_bar is derived"),
+    (lambda: RepFamilyParams(2, 2, 1, "bullet", w=-1), "w must be non-negative"),
+    (lambda: RepFamilyParams(2, 2, 1, "circle"), "circle variant takes w_bar only"),
+    (lambda: RepFamilyParams(2, 2, 1, "circle", w_bar=-1), "w_bar must be non-negative"),
+    (lambda: RepFamilyParams(2, 2, 1, "st", w=1), "unknown variant 'st'"),
+    (lambda: rt_setting(Q_FIELD, 1, "x"), "variant must be 'st' or 'st_with_ell0', got 'x'"),
+    (lambda: rt_setting(Q_FIELD, 1, "st_with_ell0"), "ell0 is required for variant 'st_with_ell0'"),
+    (lambda: rt_setting(Q_FIELD, 1, "st", 3), "ell0 is only meaningful for variant 'st_with_ell0'"),
+    (lambda: IntPolynomial([]), "empty coefficient sequence"),
+    (lambda: IntPolynomial([2, 1, 3]), "polynomial is not monic: leading coefficient 3"),
+    (lambda: power_transform(QUAD, -1), "s must be non-negative"),
+    (lambda: WeilDatum(QUAD, 2, (1, -1), 2), "weights must be non-negative"),
+    (lambda: WeilDatum(QUAD, 2, (1, 1), 1), "total weight 2 exceeds budget 1"),
+    (lambda: validate_weights(QUAD, 2, [1, 1, 1]),
+     "weight multiset size must equal the polynomial degree"),
+    (lambda: TameCharacterExponent(9, 2, 7), "ell = 9 is not prime"),
+    (lambda: TameCharacterExponent(5, -1, 0), "level must be positive"),
+    (lambda: TameCharacterExponent(5, 2, -1), "exponent must lie in [0, 23], got -1"),
+    (lambda: CongruenceInstance(DATUM, 1, 1, (0, 1, 1)), "t must have one entry per eigenvalue"),
+]
+
+
+@pytest.mark.parametrize("build,message", WRONG_SHAPES)
+def test_a_wrong_shape_raises_schema_error_where_it_is_found(build, message):
+    with pytest.raises(SchemaError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    # the least integer past the witness range has no witness as a factor
+    (lambda: is_prime(3_317_044_064_679_887_385_961_981),
+     "primality of 3317044064679887385961981 exceeds the deterministic witness range"),
+    (lambda: counterexample_search(2, 3, 1, 50), "n must be 2 or 4"),
+])
+def test_a_document_reaches_these_checks_as_precondition_failures(build, message):
+    with pytest.raises(PreconditionError) as exc:
         build()
     assert str(exc.value) == message
 

@@ -67,18 +67,22 @@ def test_functional_equation_at_a_square_q(coeffs, q, w, holds):
 
 
 def test_enumerate_weil_quadratics_examples():
-    polys = enumerate_weil_quadratics(2, 1)
+    # the argument is the constant term q^w
+    polys = enumerate_weil_quadratics(2)
     assert sorted(-p.coeffs[1] for p in polys) == [-2, -1, 0, 1, 2]
     assert all(p.coeffs[0] == 2 for p in polys)
-    assert sorted(-p.coeffs[1] for p in enumerate_weil_quadratics(4, 1)) == list(range(-4, 5))
-    w0 = enumerate_weil_quadratics(2, 0)
+    assert sorted(-p.coeffs[1] for p in enumerate_weil_quadratics(4)) == list(range(-4, 5))
+    w0 = enumerate_weil_quadratics(1)  # weight 0
     assert sorted(-p.coeffs[1] for p in w0) == [-2, -1, 0, 1, 2]
     assert all(p.coeffs[0] == 1 for p in w0)
+    assert len(enumerate_weil_quadratics(101)) == 41  # |a| <= 2*sqrt(101) = 20.09...
+    with pytest.raises(ValueError, match="^c must be positive$"):
+        enumerate_weil_quadratics(0)
 
 
 @pytest.mark.parametrize("q,w", [(2, 0), (2, 1), (2, 2), (3, 1), (4, 1), (5, 2)])
 def test_enumerated_quadratics_validate(q, w):
-    for p in enumerate_weil_quadratics(q, w):
+    for p in enumerate_weil_quadratics(q ** w):
         assert validate_weights(p, q, [w, w]), p
 
 
@@ -101,7 +105,7 @@ def uniform_weight_products(draw):
     """(f, q, w): a product of Weil quadratics of weight w and, where q^w is
     a square, linear factors T +- q^(w/2), with every root on |z| = q^(w/2)."""
     q, w = draw(st.sampled_from([2, 3, 4, 8, 9, 25, 27])), draw(st.integers(0, 3))
-    quadratics = enumerate_weil_quadratics(q, w)
+    quadratics = enumerate_weil_quadratics(q ** w)
     factors = draw(st.lists(st.sampled_from(quadratics), max_size=3))
     root = math.isqrt(q ** w)
     if root * root == q ** w:
@@ -134,7 +138,7 @@ def test_roots_on_the_real_axis_and_at_zero():
     assert not validate_weights(g, 2, [0, 2, 2, 4])
 
 
-# (q, [(w, index into enumerate_weil_quadratics(q, w)), ...])
+# (q, [(w, index into enumerate_weil_quadratics(q ** w)), ...])
 weil_products = st.tuples(
     st.sampled_from([2, 3, 4, 5]),
     st.lists(st.tuples(st.integers(0, 2), st.integers(0, 10 ** 6)), min_size=1, max_size=4))
@@ -150,7 +154,7 @@ def test_products_of_weil_quadratics_validate(case):
     q, picks = case
     poly, weights = IntPolynomial((1,)), []
     for w, i in picks:
-        quadratics = enumerate_weil_quadratics(q, w)
+        quadratics = enumerate_weil_quadratics(q ** w)
         poly = poly_mul(poly, quadratics[i % len(quadratics)])
         weights += [w, w]
     assert validate_weights(poly, q, weights)
