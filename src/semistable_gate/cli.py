@@ -316,10 +316,9 @@ def _cmd_gate(inv, p, query, args) -> dict:
     from .gate import CongruenceInstance, forced_equality
     from .intpoly import IntPolynomial
     from .weil import WeilDatum
-    w_bar = query.get("w_bar", sum(query["weights"]))
-    datum = WeilDatum(IntPolynomial(query["poly"]), query["q"], query["weights"], w_bar)
+    datum = WeilDatum(IntPolynomial(query["poly"]), query["q"], query["weights"])
     inst = CongruenceInstance(datum, query["s"], query["u"], query["t"],
-                              d=query.get("d", 1), r=query.get("r", 1))
+                              **{k: query[k] for k in ("d", "r", "w_bar") if k in query})
     return {"verdicts": [{"ell": ell, **forced_equality(inst, ell)._asdict()}
                          for ell in query["ell"]]}
 

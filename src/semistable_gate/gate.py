@@ -5,10 +5,10 @@ a target exponent multiset t, decide whether the multiset congruence
 {alpha_k^s} = {q^{t_k}} mod ell is forced into exact equality by the size
 bound ell > 2 * c_n * ell0^(d*M*u).  Multiset congruence in the algebraic
 closure is tested as coefficient-wise congruence of the two monic degree-n
-polynomials, which is equivalent because both sides split there.  The bound
-does not depend on ell, so an instance has no ell: it is built once, with its
-bound, and one of more than DIGIT_LIMIT digits is refused there;
-`forced_equality(inst, ell)` alone enforces the lemma, prime by prime.
+polynomials, which is equivalent because both sides split there.  Neither
+the bound nor the two sides depend on ell, so an instance has no ell: built
+once, it holds its weight budget, bound (refused past DIGIT_LIMIT digits) and
+both sides; `forced_equality(inst, ell)` compares them and enforces the lemma.
 """
 
 from __future__ import annotations
@@ -26,15 +26,20 @@ from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
 
 
-class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t d r bound")):
+class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t d r w_bar bound lhs rhs")):
     """The congruence {alpha_k^s} = {q^(t_k)} mod any prime ell, for a Weil
-    datum over a field of degree d with Hodge-Tate bound r; t is kept sorted,
-    and bound, 2*c_n*ell0^(d*M*u), is refused past DIGIT_LIMIT digits.  A t of
-    the wrong length is a SchemaError, any other fault a PreconditionError."""
+    datum of total weight at most w_bar (its own by default) over a field of
+    degree d with Hodge-Tate bound r; t is kept sorted, bound is refused past
+    DIGIT_LIMIT digits, and lhs = f_s, rhs = prod (T - q^(t_k)).  A t of the
+    wrong length or weight past w_bar is a SchemaError, else a PreconditionError."""
 
     __slots__ = ()
 
-    def __new__(cls, datum: WeilDatum, s: int, u: int, t, d: int = 1, r: int = 1):
+    def __new__(cls, datum: WeilDatum, s: int, u: int, t, d: int = 1, r: int = 1,
+                w_bar: int | None = None):
+        total = sum(datum.weights)
+        if total > (w_bar := total if w_bar is None else w_bar):
+            raise SchemaError(f"total weight {brief(total)} exceeds budget {brief(w_bar)}")
         n, t = datum.poly.degree, tuple(sorted(int(x) for x in t))
         if len(t) != n:
             raise SchemaError("t must have one entry per eigenvalue")
@@ -46,10 +51,11 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t d r bound
             raise PreconditionError("poly must have degree at least 1")
         if d < 1:
             raise PreconditionError(f"d must be positive, got {brief(d)}")
-        M = size_exponent(n, r, datum.weight_budget)
+        M = size_exponent(n, r, w_bar)
         if (bound := lemma_bound(n, prime_power_base(datum.q), d, M, u)) is None:
             raise PreconditionError(f"bound 2*c_n*ell0^(d*M*u) has more than {DIGIT_LIMIT} digits")
-        return super().__new__(cls, datum, s, u, t, d, r, bound)
+        return super().__new__(cls, datum, s, u, t, d, r, w_bar, bound,
+                               power_transform(datum.poly, s), from_prime_power_roots(datum.q, t))
 
 
 # outcome is "ForcedEqual", "CongruentBelowBound" or "NotCongruent";
@@ -61,19 +67,16 @@ GateVerdict = namedtuple("GateVerdict", "outcome bound congruent matched_weights
 def forced_equality(inst: CongruenceInstance, ell: int) -> GateVerdict:
     """Decide whether the congruence mod the prime ell forces exact equality.
 
-    The s-th-power transform of the characteristic polynomial is compared,
-    coefficient by coefficient mod ell, with prod (T - q^{t_k}).  Congruent
-    and ell above the bound means the two must agree over the integers,
-    and then the matched weights s*w_k/2 are the sorted t; a failure of
-    either check is an InternalConsistencyError (possible only for an
-    implementation bug: the datum was validated when built).  An ell that
-    divides q is a PreconditionError.
+    The instance's two sides are compared coefficient by coefficient mod
+    ell.  Congruent and ell above the bound means they must agree over the
+    integers, and then the matched weights s*w_k/2 are the sorted t; a
+    failure of either check is an InternalConsistencyError (possible only
+    for an implementation bug: the datum was validated when built).  An ell
+    that divides q is a PreconditionError.
     """
     if inst.datum.q % ell == 0:
         raise PreconditionError("ell must not divide q")
-    bound = inst.bound
-    lhs = power_transform(inst.datum.poly, inst.s)
-    rhs = from_prime_power_roots(inst.datum.q, inst.t)
+    bound, lhs, rhs = inst.bound, inst.lhs, inst.rhs
     if any((a - b) % ell for a, b in zip(lhs.coeffs, rhs.coeffs)):
         return GateVerdict("NotCongruent", bound, False)
     if ell <= bound:
@@ -135,7 +138,7 @@ def counterexample_search(
 
     found: list[tuple[CongruenceInstance, int]] = []
     for poly in _weight_one_products(q, n):
-        datum = WeilDatum(poly, q, (1,) * n, weight_budget=n)
+        datum = WeilDatum(poly, q, (1,) * n)
         for s in range(1, s_max + 1):
             lhs = power_transform(poly, s)
             for t in combinations_with_replacement(range(s + 1), n):
@@ -147,7 +150,7 @@ def counterexample_search(
                 inst = None
                 for ell in primes:
                     if all((a - b) % ell == 0 for a, b in zip(lc, rc)):
-                        inst = inst or CongruenceInstance(datum, s, s, t)  # one per cell
+                        inst = inst or CongruenceInstance(datum, s, s, t)  # one per congruent cell
                         forced_equality(inst, ell)  # raises if ell > bound: the lemma forbids it
                         found.append((inst, ell))
     found.sort(key=lambda hit: (hit[0].datum.poly.coeffs, hit[0].s, hit[0].t, hit[1]))

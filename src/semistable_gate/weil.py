@@ -1,9 +1,9 @@
 """Weil-weight validation for monic integer polynomials.
 
-A "Weil datum" is a characteristic polynomial together with a prime power q
-and a weight multiset; validity means every root has complex absolute value
-q^{w/2} for a matched weight w, which is checked exactly by counting roots on
-circles (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
+A "Weil datum" is a characteristic polynomial, a prime power q and a weight
+multiset, and no budget (a gate instance holds that); it is valid when every
+root has absolute value q^{w/2} for a matched weight w, checked exactly by
+counting roots on circles (Kedlaya, "Search techniques for root-unitary polynomials", 2008).
 The functional-equation test is a cheaper necessary condition for the
 uniform-weight case.
 """
@@ -13,27 +13,24 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import PreconditionError, SchemaError, brief
+from .errors import PreconditionError, SchemaError
 from .intpoly import IntPolynomial, poly_gcd, power_transform, real_root_count, synthetic_division
 
 
-class WeilDatum(namedtuple("WeilDatum", "poly q weights weight_budget")):
-    """A monic integer polynomial whose roots have absolute values q^{w_k/2},
-    with total weight at most weight_budget; weights are kept sorted.  The
-    root absolute values are checked when the datum is built, so a datum
-    that exists is valid."""
+class WeilDatum(namedtuple("WeilDatum", "poly q weights")):
+    """A monic integer polynomial whose roots have absolute values q^{w_k/2};
+    weights are kept sorted.  The root absolute values are checked when the
+    datum is built, so a datum that exists is valid."""
 
     __slots__ = ()
 
-    def __new__(cls, poly: IntPolynomial, q: int, weights, weight_budget: int):
+    def __new__(cls, poly: IntPolynomial, q: int, weights):
         weights = tuple(sorted(int(w) for w in weights))
         if any(w < 0 for w in weights):
             raise SchemaError("weights must be non-negative")
-        if sum(weights) > weight_budget:
-            raise SchemaError(f"total weight {brief(sum(weights))} exceeds budget {brief(weight_budget)}")
         if not validate_weights(poly, q, weights):
             raise PreconditionError("datum fails the root absolute-value check")
-        return super().__new__(cls, poly, q, weights, weight_budget)
+        return super().__new__(cls, poly, q, weights)
 
 
 def validate_weights(poly: IntPolynomial, q: int, weights) -> bool:

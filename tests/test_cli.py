@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from golden_cases import CASES, OTHER_CASES
 from semistable_gate import cli, gate, intpoly
 from semistable_gate.intpoly import IntPolynomial, poly_mul
+from semistable_gate.primes import primes_up_to
 
 
 def run_cli(command, doc, *flags):
@@ -649,6 +650,36 @@ def test_gate_builds_its_bound_once_per_document(monkeypatch):
     assert len(calls) == 1
 
 
+QUARTIC = [16, 0, 32, 0, 24, 0, 8, 0, 1]  # (T^2 + 2)^4: eight roots of absolute value 2^(1/2)
+
+
+def test_a_gate_document_builds_each_side_once_whatever_its_ells(monkeypatch):
+    calls = []
+    for name in ("power_transform", "from_prime_power_roots"):
+        def counted(*args, fn=getattr(gate, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(gate, name, counted)
+    ells = primes_up_to(1300)[1:201]
+    doc = {"query": {"poly": QUARTIC, "q": 2, "weights": [1] * 8, "s": 1000, "u": 1000,
+                     "t": [500] * 8, "ell": ells}}
+    started = time.process_time()
+    code, out, _ = run_cli("gate", doc)
+    assert time.process_time() - started < 0.25
+    assert code == 0 and [v["ell"] for v in json.loads(out)["verdicts"]] == ells
+    assert sorted(calls) == ["from_prime_power_roots", "power_transform"]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14: with weights all 0 and r = 0, M = 0, so "
+                   "the bound 2*c_n does not limit s, and power_transform runs n*s Newton steps")
+def test_gate_at_m_zero_answers_a_huge_s_within_the_limits():
+    S = 10 ** 8
+    doc = {"query": {"poly": [-1, 1], "q": 2, "weights": [0], "s": S, "u": S, "t": [0],
+                     "r": 0, "ell": [3]}}
+    proc = _cli_process(json.dumps(doc), "gate", cpu_seconds=2)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_gate_refuses_an_invalid_datum_without_an_ell():
     doc = {"query": dict(GATE, poly=[2, 5, 1], ell=[])}
     assert run_cli("gate", doc) == (
@@ -974,6 +1005,20 @@ REFUSED = {
     "gate-degree-65": (
         "gate", {"query": dict(GATE, poly=[1] + [0] * 64 + [1], weights=[0] * 65, t=[0] * 65)}, 3,
         "precondition failure: degree 65 exceeds cap 64"),
+    "decide-no-field": ("decide", {"params": UNIFORM_DOC["params"], "query": {"ell": 17}}, 2,
+                        "schema error: missing 'field' section"),
+    "decide-galois-flag-not-a-boolean": (
+        "decide", dict(UNIFORM_DOC, field=dict(RT_FIELD, galois_odd_degree=1), query={"ell": 17}),
+        2, "schema error: field.galois_odd_degree must be a boolean"),
+    "decide-ell-not-an-integer": ("decide", dict(UNIFORM_DOC, query={"ell": [17, "x"]}), 2,
+                                  "schema error: query.ell must be an integer or list of integers"),
+    "decide-variant-not-a-string": (
+        "decide", dict(UNIFORM_DOC, params=dict(UNIFORM_DOC["params"], variant=1),
+                       query={"ell": 17}),
+        2, "schema error: params.variant must be a string"),
+    # the gate instance, not the Weil datum, holds and checks the weight budget
+    "gate-w_bar-below-the-total-weight": ("gate", {"query": dict(GATE, w_bar=1)}, 2,
+                                          "schema error: total weight 2 exceeds budget 1"),
 }
 
 

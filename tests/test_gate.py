@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from semistable_gate import gate, weil
-from semistable_gate.errors import InternalConsistencyError, PreconditionError
+from semistable_gate.errors import InternalConsistencyError, PreconditionError, SchemaError
 from semistable_gate.gate import (
     CongruenceInstance,
     counterexample_search,
@@ -10,13 +10,13 @@ from semistable_gate.gate import (
     lemma_bound,
     size_exponent,
 )
-from semistable_gate.intpoly import IntPolynomial, from_prime_power_roots, poly_mul
+from semistable_gate.intpoly import IntPolynomial, from_prime_power_roots, poly_mul, power_transform
 from semistable_gate.primes import primes_up_to
 from semistable_gate.weil import WeilDatum
 
 
 def quad_datum():
-    return WeilDatum(IntPolynomial((2, 1, 1)), 2, (1, 1), 2)
+    return WeilDatum(IntPolynomial((2, 1, 1)), 2, (1, 1))
 
 
 def test_lemma_bound_examples():
@@ -48,7 +48,7 @@ def test_symmetric_congruence_examples():
 def test_symmetric_congruence_reflexive_on_equality():
     for q, j in [(2, 1), (3, 0), (5, 2)]:
         poly = from_prime_power_roots(q, (j,))
-        datum = WeilDatum(poly, q, (2 * j,), 2 * j)
+        datum = WeilDatum(poly, q, (2 * j,))
         for ell in (7, 101, 9973):
             if q % ell == 0:
                 continue
@@ -64,7 +64,7 @@ def test_forced_equality_below_bound():
 
 def test_forced_equality_exact():
     poly = poly_mul(IntPolynomial((-2, 1)), IntPolynomial((-4, 1)))
-    datum = WeilDatum(poly, 2, (2, 4), 6)
+    datum = WeilDatum(poly, 2, (2, 4))
     v = forced_equality(CongruenceInstance(datum, 1, 1, (1, 2), r=2), 101)
     assert v.outcome == "ForcedEqual"
     assert v.matched_weights == (1, 2)
@@ -75,7 +75,7 @@ def test_forced_equality_with_unmatched_weights_is_a_lemma_violation(monkeypatch
     # roots +-2 have weight 2 at q = 2, and (T-4)^2 matches t = (2, 2) exactly;
     # weights (1, 3), let through the validation, give s*w = (2, 6) != 2*t
     monkeypatch.setattr(weil, "validate_weights", lambda poly, q, weights: True)
-    datum = WeilDatum(IntPolynomial((-4, 0, 1)), 2, (1, 3), 4)
+    datum = WeilDatum(IntPolynomial((-4, 0, 1)), 2, (1, 3))
     with pytest.raises(InternalConsistencyError, match=r"s\*w = 2 \* \[1, 3\] is not 2\*t = 2 \* \[2, 2\]"):
         forced_equality(CongruenceInstance(datum, 2, 2, (2, 2)), 67)
 
@@ -97,7 +97,7 @@ def test_instance_validation():
     with pytest.raises(ValueError) as wrong_size:
         CongruenceInstance(d, 1, 1, (1,))           # wrong t size
     assert not isinstance(wrong_size.value, PreconditionError)
-    constant = WeilDatum(IntPolynomial((1,)), 2, (), 0)
+    constant = WeilDatum(IntPolynomial((1,)), 2, ())
     with pytest.raises(PreconditionError, match=r"^poly must have degree at least 1$"):
         CongruenceInstance(constant, 1, 1, ())      # no eigenvalue
 
@@ -106,7 +106,7 @@ def test_forced_equality_refuses_an_ell_dividing_q():
     inst = CongruenceInstance(quad_datum(), 1, 1, (1, 1))
     with pytest.raises(PreconditionError, match=r"^ell must not divide q$"):
         forced_equality(inst, 2)
-    four = WeilDatum(IntPolynomial((4, 1, 1)), 4, (1, 1), 2)
+    four = WeilDatum(IntPolynomial((4, 1, 1)), 4, (1, 1))
     with pytest.raises(PreconditionError, match=r"^ell must not divide q$"):
         forced_equality(CongruenceInstance(four, 1, 1, (0, 1)), 2)
 
@@ -169,7 +169,7 @@ def test_the_bound_is_a_field_with_its_closed_form(u, d, r):
     assert "bound" in CongruenceInstance._fields and "ell" not in CongruenceInstance._fields
     assert inst.bound == 2 * 2 * 2 ** (d * max(2 * r, 1) * u)
     # T^2 + 9: roots +-3i of absolute value 9^(1/2), so ell0 = 3
-    nine = WeilDatum(IntPolynomial((9, 0, 1)), 9, (1, 1), 2)
+    nine = WeilDatum(IntPolynomial((9, 0, 1)), 9, (1, 1))
     nine = CongruenceInstance(nine, 1, u, (0, 0), d=d, r=r)
     assert nine.bound == 2 * 2 * 3 ** (d * max(2 * r, 1) * u)
 
@@ -179,3 +179,56 @@ def test_the_sweep_leaves_the_lemma_to_forced_equality(monkeypatch):
     monkeypatch.setattr(gate, "lemma_bound", lambda *args: 2)
     with pytest.raises(InternalConsistencyError, match=r"^congruent mod \d+ above bound 2 but not equal"):
         counterexample_search(2, 2, 2, 100)
+
+
+def test_an_instance_owns_its_weight_budget_and_both_sides():
+    assert WeilDatum._fields == ("poly", "q", "weights")
+    inst = CongruenceInstance(quad_datum(), 2, 2, (1, 1))
+    assert inst.w_bar == 2  # the datum's total weight
+    assert (inst.lhs, inst.rhs) == (power_transform(IntPolynomial((2, 1, 1)), 2),
+                                    from_prime_power_roots(2, (1, 1)))
+    # only the bound reads w_bar: M = max(n*r, w_bar/2) = max(2, 3) at w_bar = 6
+    wide = CongruenceInstance(quad_datum(), 2, 2, (1, 1), w_bar=6)
+    assert (wide.w_bar, wide.bound, wide.lhs, wide.rhs) == (6, 2 * 2 * 2 ** (3 * 2), inst.lhs, inst.rhs)
+
+
+def test_the_weight_budget_is_checked_first():
+    # the t length and s > u are faults too, but the budget is read first
+    with pytest.raises(SchemaError, match=r"^total weight 2 exceeds budget 1$"):
+        CongruenceInstance(quad_datum(), 3, 2, (1,), w_bar=1)
+
+
+def test_forced_equality_only_compares(monkeypatch):
+    inst = CongruenceInstance(quad_datum(), 2, 2, (1, 1))
+
+    def rebuilt(*args):
+        raise AssertionError(f"a side was rebuilt: {args}")
+
+    monkeypatch.setattr(gate, "power_transform", rebuilt)
+    monkeypatch.setattr(gate, "from_prime_power_roots", rebuilt)
+    outcomes = {forced_equality(inst, ell).outcome for ell in primes_up_to(100)[1:]}
+    assert outcomes == {"CongruentBelowBound", "NotCongruent"}
+
+
+def test_a_refused_bound_builds_no_side(monkeypatch):
+    built = []
+    monkeypatch.setattr(gate, "power_transform", lambda *args: built.append(args))
+    monkeypatch.setattr(gate, "from_prime_power_roots", lambda *args: built.append(args))
+    with pytest.raises(PreconditionError, match=r"has more than 4300 digits$"):
+        CongruenceInstance(quad_datum(), 10 ** 5, 10 ** 5, (1, 1))
+    assert built == []
+
+
+def test_the_sweep_builds_each_side_once_and_an_instance_per_congruent_cell(monkeypatch):
+    calls = {"power_transform": 0, "from_prime_power_roots": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(gate, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(gate, name, counted)
+    found = counterexample_search(2, 2, 2, 100)
+    cells = len({(inst.datum.poly, inst.s, inst.t) for inst, _ in found})
+    assert 0 < cells <= len(found)
+    # 5 quadratics at q = 2; s in {1, 2}; 3 + 6 t-multisets; each congruent cell's
+    # instance builds its two sides once more
+    assert calls == {"power_transform": 5 * 2 + cells, "from_prime_power_roots": 5 * 9 + cells}

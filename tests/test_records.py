@@ -26,7 +26,7 @@ from semistable_gate.tame import TameCharacterExponent
 from semistable_gate.weil import WeilDatum, validate_weights
 
 QUAD = IntPolynomial((2, 1, 1))
-DATUM = WeilDatum(QUAD, 2, (1, 1), 2)
+DATUM = WeilDatum(QUAD, 2, (1, 1))
 Q_FIELD = FieldInvariants(1, 1, 1)
 BULLET = RepFamilyParams(2, 2, 1, "bullet", w=1)
 
@@ -54,8 +54,8 @@ def test_fields_cannot_be_assigned(record, field):
 def test_equality_and_hashing():
     assert {IntPolynomial((2, 1, 1)), IntPolynomial([2, 1, 1]), IntPolynomial((3, 1, 1))} == {
         QUAD, IntPolynomial((3, 1, 1))}
-    assert WeilDatum(QUAD, 2, (1, 1), 2) == DATUM
-    assert hash(WeilDatum(QUAD, 2, [1, 1], 2)) == hash(DATUM)
+    assert WeilDatum(QUAD, 2, (1, 1)) == DATUM
+    assert hash(WeilDatum(QUAD, 2, [1, 1])) == hash(DATUM)
     assert CongruenceInstance(DATUM, 2, 2, (1, 1)) == CongruenceInstance(DATUM, 2, 2, [1, 1])
     assert CongruenceInstance(DATUM, 2, 2, (1, 1)) != CongruenceInstance(DATUM, 2, 3, (1, 1))
 
@@ -71,7 +71,7 @@ def test_keyword_and_default_construction():
     assert GateVerdict("NotCongruent", 64, False).matched_weights is None
     assert Setting("Ell", (16, 16), {})[3:] == (None, None)  # disc, ell0
     assert TameCharacterExponent(ell=5, level=2, exponent=7).modulus == 24
-    assert WeilDatum(poly=QUAD, q=2, weights=(1, 1), weight_budget=2) == DATUM
+    assert WeilDatum(poly=QUAD, q=2, weights=(1, 1)) == DATUM
 
 
 @pytest.mark.parametrize("build,message", [
@@ -90,9 +90,11 @@ def test_keyword_and_default_construction():
     (lambda: IntPolynomial(()), "empty coefficient sequence"),
     (lambda: IntPolynomial((1, 2)), "polynomial is not monic: leading coefficient 2"),
     (lambda: IntPolynomial((0,) * 65 + (1,)), "degree 65 exceeds cap 64"),
-    (lambda: WeilDatum(QUAD, 2, (1,), 2), "weight multiset size must equal the polynomial degree"),
-    (lambda: WeilDatum(QUAD, 2, (-1, 1), 2), "weights must be non-negative"),
-    (lambda: WeilDatum(QUAD, 2, (1, 2), 2), "total weight 3 exceeds budget 2"),
+    (lambda: WeilDatum(QUAD, 2, (1,)), "weight multiset size must equal the polynomial degree"),
+    (lambda: WeilDatum(QUAD, 2, (-1, 1)), "weights must be non-negative"),
+    # T - 8 at q = 4: |8| = 4^(3/2), so weight 3
+    (lambda: CongruenceInstance(WeilDatum(IntPolynomial((-8, 1)), 4, (3,)), 1, 1, (1,), w_bar=2),
+     "total weight 3 exceeds budget 2"),
     (lambda: CongruenceInstance(DATUM, 1, 1, (1,)), "t must have one entry per eigenvalue"),
     (lambda: CongruenceInstance(DATUM, 3, 2, (1, 1)), "need 0 <= s <= u, got s=3, u=2"),
     (lambda: CongruenceInstance(DATUM, 1, 1, (2, 0)),
@@ -127,8 +129,8 @@ WRONG_SHAPES = [
     (lambda: IntPolynomial([]), "empty coefficient sequence"),
     (lambda: IntPolynomial([2, 1, 3]), "polynomial is not monic: leading coefficient 3"),
     (lambda: power_transform(QUAD, -1), "s must be non-negative"),
-    (lambda: WeilDatum(QUAD, 2, (1, -1), 2), "weights must be non-negative"),
-    (lambda: WeilDatum(QUAD, 2, (1, 1), 1), "total weight 2 exceeds budget 1"),
+    (lambda: WeilDatum(QUAD, 2, (1, -1)), "weights must be non-negative"),
+    (lambda: CongruenceInstance(DATUM, 2, 2, (1, 1), w_bar=1), "total weight 2 exceeds budget 1"),
     (lambda: validate_weights(QUAD, 2, [1, 1, 1]),
      "weight multiset size must equal the polynomial degree"),
     (lambda: TameCharacterExponent(9, 2, 7), "ell = 9 is not prime"),
@@ -160,7 +162,7 @@ def test_a_document_reaches_these_checks_as_precondition_failures(build, message
 def test_normalisation():
     assert DATUM.weights == (1, 1)
     # (T - 1)(T - 2) at q = 2: |1| = 2^(0/2) and |2| = 2^(2/2)
-    assert WeilDatum(IntPolynomial((2, -3, 1)), 2, [2, 0], 2).weights == (0, 2)
+    assert WeilDatum(IntPolynomial((2, -3, 1)), 2, [2, 0]).weights == (0, 2)
     assert CongruenceInstance(DATUM, 1, 1, [1, 0]).t == (0, 1)
     poly = IntPolynomial([Fraction(4, 2), True, Fraction(1)])
     assert poly.coeffs == (2, 1, 1) and all(type(c) is int for c in poly.coeffs)

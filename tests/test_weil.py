@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from semistable_gate.errors import PreconditionError
+from semistable_gate.gate import CongruenceInstance
 from semistable_gate.intpoly import IntPolynomial, poly_mul
 from semistable_gate.weil import (
     WeilDatum,
@@ -93,11 +94,11 @@ def test_product_validates_with_union_multiset():
 
 
 def test_weil_datum_constraints():
-    WeilDatum(IntPolynomial((2, 1, 1)), 2, (1, 1), 2)
+    datum = WeilDatum(IntPolynomial((2, 1, 1)), 2, (1, 1))
+    with pytest.raises(ValueError, match=r"^total weight 2 exceeds budget 1$"):
+        CongruenceInstance(datum, 1, 1, (1, 1), w_bar=1)  # budget too small
     with pytest.raises(ValueError):
-        WeilDatum(IntPolynomial((2, 1, 1)), 2, (1, 1), 1)  # budget too small
-    with pytest.raises(ValueError):
-        WeilDatum(IntPolynomial((2, 1, 1)), 2, (1,), 2)    # size mismatch
+        WeilDatum(IntPolynomial((2, 1, 1)), 2, (1,))    # size mismatch
 
 
 @st.composite
