@@ -117,7 +117,8 @@ def counterexample_search(
     [0, r*u], all primes ell <= ell_max not dividing q.  Returns every
     (instance, ell) that is congruent where exact equality fails, one
     instance per congruent cell; `forced_equality` checks that each ell sits
-    at or below the instance's forcing bound.
+    at or below the instance's forcing bound.  Each right side is built once
+    per (s, t), and each cell's nonzero coefficient differences once.
     """
     if n < 2 or n % 2 != 0 or n > 4:
         raise PreconditionError("n must be 2 or 4")
@@ -136,20 +137,21 @@ def counterexample_search(
     if not corpus_size:
         return []
 
+    sides = {s: [(t, from_prime_power_roots(q, t).coeffs)
+                 for t in combinations_with_replacement(range(s + 1), n)]
+             for s in range(1, s_max + 1)}
     found: list[tuple[CongruenceInstance, int]] = []
     for poly in _weight_one_products(q, n):
         datum = WeilDatum(poly, q, (1,) * n)
-        for s in range(1, s_max + 1):
-            lhs = power_transform(poly, s)
-            for t in combinations_with_replacement(range(s + 1), n):
-                rhs = from_prime_power_roots(q, t)
-                if lhs == rhs:
+        for s, rhss in sides.items():
+            lhs = power_transform(poly, s).coeffs
+            for t, rhs in rhss:
+                # the cell's nonzero differences, once; none means the sides are equal
+                if not (diffs := [a - b for a, b in zip(lhs, rhs) if a != b]):
                     continue
-                # read once: a named-tuple field read costs a descriptor call
-                lc, rc = lhs.coeffs, rhs.coeffs
                 inst = None
                 for ell in primes:
-                    if all((a - b) % ell == 0 for a, b in zip(lc, rc)):
+                    if all(x % ell == 0 for x in diffs):
                         inst = inst or CongruenceInstance(datum, s, s, t)  # one per congruent cell
                         forced_equality(inst, ell)  # raises if ell > bound: the lemma forbids it
                         found.append((inst, ell))

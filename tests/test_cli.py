@@ -137,6 +137,12 @@ GATE_SEARCH_SHA256 = {
     (2, 2, 3, 500): "55cdd63ef35f860607e49815752158acd257e5c149e9082e85f434d055773c03",
     (5, 2, 2, 200): "1c0cf5de35a35304d73bc5f320c71c8654f4acb28f6308a7e75b630f8f1eeab4",
     (3, 4, 2, 500): "2a76b456b140b88f933b236a960d9f4b77bcfb4292cac2e693bf588158401532",
+    (2, 4, 3, 2000): "68528a73c7e5b5701683c9e0a01b6cb3e6db18159a03de0b6abdf7178d8d15e1",
+    (3, 4, 3, 2000): "7d345e8412e9fc1d9c899541c389893200b96aa25e68e5736ce3d8e26ef7788f",
+    (5, 4, 2, 2000): "028cc6a8a870df7c2506dd5ac9827f77b83982eedf3d067c1b22abd9954344ff",
+    # q = 4 = 2^2: these bytes move with ROADMAP item 18 (a prime-power q needs a
+    # field of degree d >= f), to a sha re-derived independently of the program
+    (4, 4, 2, 2000): "df974db0c69d1f3bcaf22deda8f6410eac847de50a7b4516de9f5d8c21bbdd10",
 }
 
 
@@ -176,6 +182,16 @@ def _quadratic_sweep(q, s_max, ell_max):
                               for ell in primes if lin % ell == const % ell == 0]
     keys = ("poly", "s", "t", "ell", "bound")
     return [dict(zip(keys, cell)) for cell in sorted(cells)], equal
+
+
+@pytest.mark.parametrize("q,s_max,ell_max", [(3, 3, 200), (5, 3, 300), (7, 2, 400), (11, 3, 500)])
+def test_gate_search_matches_the_lucas_sweep(q, s_max, ell_max):
+    expected, _ = _quadratic_sweep(q, s_max, ell_max)
+    code, out, _ = run_cli("gate-search",
+                           {"query": {"q": q, "n": 2, "s_max": s_max, "ell_max": ell_max}})
+    cert = json.loads(out)
+    assert (code, cert["count"]) == (0, len(expected))
+    assert cert["instances"] == expected
 
 
 def test_gate_search_skips_the_equal_cell():

@@ -229,6 +229,6 @@ def test_the_sweep_builds_each_side_once_and_an_instance_per_congruent_cell(monk
     found = counterexample_search(2, 2, 2, 100)
     cells = len({(inst.datum.poly, inst.s, inst.t) for inst, _ in found})
     assert 0 < cells <= len(found)
-    # 5 quadratics at q = 2; s in {1, 2}; 3 + 6 t-multisets; each congruent cell's
-    # instance builds its two sides once more
-    assert calls == {"power_transform": 5 * 2 + cells, "from_prime_power_roots": 5 * 9 + cells}
+    # 5 quadratics at q = 2; s in {1, 2}; 3 + 6 t-multisets, each right side built
+    # once for all products; each congruent cell's instance builds its two sides once more
+    assert calls == {"power_transform": 5 * 2 + cells, "from_prime_power_roots": 9 + cells}
