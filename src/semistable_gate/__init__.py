@@ -16,7 +16,7 @@ _EXPORTS = {
         ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting
         trivial_setting""",
     "gate": "CongruenceInstance GateVerdict counterexample_search forced_equality",
-    "intpoly": "IntPolynomial from_power_sums from_prime_power_roots power_sums power_transform",
+    "intpoly": "IntPolynomial from_power_sums from_prime_power_roots power_transform",
     "tame": "TameCharacterExponent canonical_exponent digit_weights frobenius_orbit",
     "weil": "WeilDatum enumerate_weil_quadratics functional_equation_check validate_weights",
 }

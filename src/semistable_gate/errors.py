@@ -27,6 +27,17 @@ class InternalConsistencyError(RuntimeError):
     """A state that is mathematically impossible for valid inputs."""
 
 
+def exact_ints(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; a value that int() would change (0.5, 1.9,
+    "3") is a SchemaError naming the first such, never truncated."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        bad = next(v for v, i in zip(values, ints) if i != v)
+        raise SchemaError(f"{what} must be integers, got {bad!r}")
+    return ints
+
+
 def brief(n: int) -> str:
     """n in full up to 100 digits; past that, its first and last 10 digits and
     its digit count, never calling str() on all of n (refused past DIGIT_LIMIT)."""

@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 
 from .bounds import lemma_bound, size_exponent
 from .errors import (DIGIT_LIMIT, InternalConsistencyError, PreconditionError, SchemaError,
-                     brief)
+                     brief, exact_ints)
 from .intpoly import IntPolynomial, from_prime_power_roots, poly_mul, power_transform
 from .primes import prime_count_lower_bound, prime_power_base, primes_up_to
 from .weil import WeilDatum, enumerate_weil_quadratics
@@ -40,7 +40,7 @@ class CongruenceInstance(namedtuple("CongruenceInstance", "datum s u t d r w_bar
         total = sum(datum.weights)
         if total > (w_bar := total if w_bar is None else w_bar):
             raise SchemaError(f"total weight {brief(total)} exceeds budget {brief(w_bar)}")
-        n, t = datum.poly.degree, tuple(sorted(int(x) for x in t))
+        n, t = datum.poly.degree, tuple(sorted(exact_ints(t, "t")))
         if len(t) != n:
             raise SchemaError("t must have one entry per eigenvalue")
         if not 0 <= s <= u:

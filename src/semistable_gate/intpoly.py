@@ -5,8 +5,8 @@ synthetic division by T - x, gcds and Sturm real-root counts.  All
 coefficient arithmetic uses Python ints, so nothing here can overflow.
 Coefficients are stored lowest degree first: ``coeffs[i]`` is the
 coefficient of T^i.  `IntPolynomial` is a named tuple (immutable, hashable,
-equal by value) that checks and coerces its coefficients to int when built,
-and refuses a degree past DEGREE_CAP there, so every polynomial meets it.
+equal by value) that refuses, when built, a coefficient that is not an
+integer and a degree past DEGREE_CAP, so every polynomial meets both.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from itertools import count, islice
 from operator import mul
 
-from .errors import InternalConsistencyError, PreconditionError, SchemaError
+from .errors import InternalConsistencyError, PreconditionError, SchemaError, brief, exact_ints
 
 DEGREE_CAP = 64
 
@@ -28,7 +28,7 @@ class IntPolynomial(namedtuple("IntPolynomial", "coeffs")):
     __slots__ = ()
 
     def __new__(cls, coeffs: Iterable[int]):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = exact_ints(coeffs, "coefficients")
         if not coeffs:
             raise SchemaError("empty coefficient sequence")
         if coeffs[-1] != 1:
@@ -108,11 +108,6 @@ def real_root_count(p: Sequence[int], lo: int, hi: int) -> int:
     return count
 
 
-def power_sums(f: IntPolynomial, m: int) -> tuple[int, ...]:
-    """p_1, ..., p_m, the sums of the j-th powers of f's roots."""
-    return tuple(islice(_newton_sums(f), m))
-
-
 def _newton_sums(f: IntPolynomial) -> Iterator[int]:
     """p_1, p_2, ... without end, by Newton's identities on f's coefficients
     a_i: p_j + a_{n-1} p_{j-1} + ... + a_{n-j+1} p_1 + j a_{n-j} = 0, with
@@ -159,12 +154,15 @@ def power_transform(f: IntPolynomial, s: int) -> IntPolynomial:
 
 
 def from_prime_power_roots(q: int, t: Iterable[int]) -> IntPolynomial:
-    """Expand prod_k (T - q^{t_k}) exactly."""
+    """Expand prod_k (T - q^{t_k}) exactly; each t_k is a non-negative integer."""
     if q < 2:
         raise ValueError("q must be at least 2")
+    t = exact_ints(t, "t")
+    if t and min(t) < 0:
+        raise SchemaError(f"t_k must be non-negative, got {brief(min(t))}")
     coeffs = [1]
     for tk in t:
-        root = q ** int(tk)
+        root = q ** tk
         coeffs = [0] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= root * coeffs[i + 1]

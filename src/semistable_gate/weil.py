@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import PreconditionError, SchemaError
+from .errors import PreconditionError, SchemaError, exact_ints
 from .intpoly import IntPolynomial, poly_gcd, power_transform, real_root_count, synthetic_division
 
 
@@ -25,7 +25,7 @@ class WeilDatum(namedtuple("WeilDatum", "poly q weights")):
     __slots__ = ()
 
     def __new__(cls, poly: IntPolynomial, q: int, weights):
-        weights = tuple(sorted(int(w) for w in weights))
+        weights = tuple(sorted(exact_ints(weights, "weights")))
         if any(w < 0 for w in weights):
             raise SchemaError("weights must be non-negative")
         if not validate_weights(poly, q, weights):
@@ -36,7 +36,7 @@ class WeilDatum(namedtuple("WeilDatum", "poly q weights")):
 def validate_weights(poly: IntPolynomial, q: int, weights) -> bool:
     """True iff the root absolute values are {q^{w/2} : w in weights}: each
     circle |z| = q^w carries as many roots alpha^2 as w has entries."""
-    weights = sorted(int(w) for w in weights)
+    weights = sorted(exact_ints(weights, "weights"))
     if len(weights) != poly.degree:
         raise SchemaError("weight multiset size must equal the polynomial degree")
     if weights and weights[0] < 0:

@@ -3,8 +3,10 @@
 Every expected threshold below was derived by hand from the closed-form
 constants (2*c_n*ell0^eps with eps = d*M or d^2*M or the h+-weighted
 variants, and the 2^(2dg+1)*binom(2g,g) family) before the decision code
-was written; the test asserts the certificate fields against these literals
-and then byte-compares the whole certificate against tests/golden/.
+was written.  `hand_check` asserts a certificate's fields against these
+literals; the golden test runs it on each certificate it byte-compares
+against tests/golden/, and scripts/regen_golden.py on each before it writes
+any.  Nothing here imports the package.
 """
 
 Q1 = {"d": 1, "disc": 1, "h_plus": 1}
@@ -273,3 +275,19 @@ OTHER_CASES = [
           [("ell_does_not_split_in_K", F), ("a:ell_not_dividing_disc", T),
            ("a:ell_gt_threshold", T), ("b:degree_odd", F), ("b:ell_gt_threshold", T)])]),
 ]
+
+
+def hand_check(name: str, cert: dict) -> bool:
+    """Whether the certificate of the golden `name` carries the values
+    derived by hand above: each ell's verdict fragments for a CASES entry,
+    else its check in EXTRA_CHECKS or OTHER_CASES.  CASES keeps its 20
+    entries, as the benchmark replays each of them."""
+    if len(CASES) != 20:
+        return False
+    checks = {**EXTRA_CHECKS, **{n: check for n, _, _, check in OTHER_CASES}}
+    if name in checks:
+        return checks[name](cert)
+    expected = next(fragments for n, _, _, fragments in CASES if n == name)
+    return {entry["ell"]: [(v["theorem"], v["conclusion"], v["situation"], v["threshold"])
+                           for v in entry.get("verdicts", [entry])]
+            for entry in cert["verdicts"]} == expected
