@@ -4,9 +4,9 @@ Every expected threshold below was derived by hand from the closed-form
 constants (2*c_n*ell0^eps with eps = d*M or d^2*M or the h+-weighted
 variants, and the 2^(2dg+1)*binom(2g,g) family) before the decision code
 was written.  `hand_check` asserts a certificate's fields against these
-literals; the golden test runs it on each certificate it byte-compares
-against tests/golden/, and scripts/regen_golden.py on each before it writes
-any.  Nothing here imports the package.
+literals; criterion 6 of the acceptance suite runs it on each certificate
+it byte-compares against tests/golden/, and scripts/regen_golden.py on each
+before it writes any.  Nothing here imports the package.
 """
 
 Q1 = {"d": 1, "disc": 1, "h_plus": 1}

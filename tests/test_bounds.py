@@ -45,10 +45,6 @@ def test_central_binomial():
 @example(n=1, ell0=2, d=1, numerator=2 * 14284, u=1)  # 2^14285 has 4301
 @example(n=2, ell0=3, d=1, numerator=9200, u=2)       # 4*3^9200, past it by its value only
 @example(n=14300, ell0=2, d=1, numerator=0, u=1)      # 2*c_n alone, near the limit
-@example(n=2, ell0=2, d=1, numerator=4, u=2)          # 2*2*2^4 = 64
-@example(n=2, ell0=3, d=1, numerator=4, u=1)          # 2*2*3^2 = 36
-@example(n=2, ell0=2, d=1, numerator=3, u=1)          # d*M*u = 3/2 rounds up: 2*2*2^2
-@example(n=1, ell0=2, d=1, numerator=0, u=0)          # 2*c_1*2^0 = 2
 def test_lemma_bound_is_its_closed_form_up_to_the_digit_limit(n, ell0, d, numerator, u):
     M = Fraction(numerator, 2)
     exponent = math.ceil(d * M * u)
@@ -88,9 +84,15 @@ def test_derived_constants_odd_budget_ceils():
     c = derived_constants(Q_FIELD, RepFamilyParams(1, 2, 1, "circle", w_bar=3))
     assert c.M == Fraction(3, 2)
     assert c.C1 == 2 * 1 * 4
-    # n*r = 2 < w_bar/2 = 5/2
-    c = derived_constants(Q_FIELD, RepFamilyParams(2, 2, 1, "circle", w_bar=5))
-    assert c.M == Fraction(5, 2)
+
+
+def test_variant_field_exclusivity():
+    with pytest.raises(ValueError):
+        RepFamilyParams(2, 2, 1, "bullet", w=1, w_bar=2)
+    with pytest.raises(ValueError):
+        RepFamilyParams(2, 2, 1, "circle", w=1)
+    with pytest.raises(ValueError):
+        RepFamilyParams(2, 2, 1, "circle")
 
 
 def test_decide_cor1_examples():

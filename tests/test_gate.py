@@ -19,6 +19,25 @@ def quad_datum():
     return WeilDatum(IntPolynomial((2, 1, 1)), 2, (1, 1))
 
 
+def test_lemma_bound_examples():
+    assert lemma_bound(2, 2, 1, 2, 2) == 64
+    assert lemma_bound(1, 2, 1, 0, 0) == 2
+    assert lemma_bound(2, 3, 1, 2, 1) == 36
+
+
+def test_lemma_bound_fractional_exponent_ceils():
+    from fractions import Fraction
+    # d*M*u = 3/2 rounds up to 2
+    assert lemma_bound(2, 2, 1, Fraction(3, 2), 1) == 2 * 2 * 4
+
+
+def test_size_exponent():
+    from fractions import Fraction
+    assert size_exponent(2, 1, 2) == 2
+    assert size_exponent(2, 1, 5) == Fraction(5, 2)
+    assert size_exponent(1, 0, 0) == 0
+
+
 def test_symmetric_congruence_examples():
     d = quad_datum()
     # T^2+3T+4 vs T^2-4T+4: 3 == -4 mod 7 only
@@ -67,6 +86,31 @@ def test_forced_equality_not_congruent():
     assert not v.congruent
 
 
+def test_instance_validation():
+    d = quad_datum()
+    with pytest.raises(PreconditionError):
+        CongruenceInstance(d, 3, 2, (1, 1))         # s > u
+    with pytest.raises(PreconditionError):
+        CongruenceInstance(d, 1, 1, (2, 0))         # t_k > r*u
+    with pytest.raises(PreconditionError, match=r"^d must be positive, got -1$"):
+        CongruenceInstance(quad_datum(), 1, 1, (1, 1), d=-1)  # field degree -1
+    with pytest.raises(ValueError) as wrong_size:
+        CongruenceInstance(d, 1, 1, (1,))           # wrong t size
+    assert not isinstance(wrong_size.value, PreconditionError)
+    constant = WeilDatum(IntPolynomial((1,)), 2, ())
+    with pytest.raises(PreconditionError, match=r"^poly must have degree at least 1$"):
+        CongruenceInstance(constant, 1, 1, ())      # no eigenvalue
+
+
+def test_forced_equality_refuses_an_ell_dividing_q():
+    inst = CongruenceInstance(quad_datum(), 1, 1, (1, 1))
+    with pytest.raises(PreconditionError, match=r"^ell must not divide q$"):
+        forced_equality(inst, 2)
+    four = WeilDatum(IntPolynomial((4, 1, 1)), 4, (1, 1))
+    with pytest.raises(PreconditionError, match=r"^ell must not divide q$"):
+        forced_equality(CongruenceInstance(four, 1, 1, (0, 1)), 2)
+
+
 def test_counterexample_search_contains_worked_instance():
     found = counterexample_search(2, 2, 2, 100)
     assert any(
@@ -109,6 +153,13 @@ def test_forced_equal_never_fires_at_or_below_bound(ell, s):
     v = forced_equality(inst, ell)
     if v.outcome == "ForcedEqual":
         assert ell > v.bound
+
+
+def test_an_instance_past_the_digit_limit_is_refused_when_built():
+    # 2*c_2*2^(2*10^5) has about 60,000 digits
+    message = r"^bound 2\*c_n\*ell0\^\(d\*M\*u\) has more than 4300 digits$"
+    with pytest.raises(PreconditionError, match=message):
+        CongruenceInstance(quad_datum(), 10 ** 5, 10 ** 5, (1, 1))
 
 
 @pytest.mark.parametrize("u,d,r", [(2, 1, 1), (3, 2, 1), (1, 1, 2), (2, 1, 0), (5, 3, 1)])

@@ -1,8 +1,9 @@
 """The contract of the package's immutable records: fields cannot be
 assigned, equal records are equal and hash alike, keyword and default
-construction work, each invalid argument raises the one exception class
-and message of its fault where it is found, and the fields that are
-normalised (integral values made ints, sorted) stay so."""
+construction work, invalid arguments raise ValueError with a fixed message
+(a gate's ell by `forced_equality`, as a `CongruenceInstance` has none), a
+value of the wrong shape raising SchemaError where it is found, and the
+fields that are normalised (integral values made ints, sorted) stay so."""
 
 from fractions import Fraction
 
@@ -75,108 +76,100 @@ def test_keyword_and_default_construction():
     assert WeilDatum(poly=QUAD, q=2, weights=(1, 1)) == DATUM
 
 
-# the raise sites of the records and of the functions that build or take
-# them, each (site, input) once: the exact class, which the CLI maps to an
-# exit code (SchemaError 2, PreconditionError and other ValueErrors 3), and
-# the exact message.  A gate's ell is checked by `forced_equality`, as a
-# `CongruenceInstance` has none
-FAULTS = [
-    (lambda: FieldInvariants(0, 1, 1), SchemaError, "d and h_plus must be positive"),
-    (lambda: FieldInvariants(1, 1, 0), SchemaError, "d and h_plus must be positive"),
-    (lambda: FieldInvariants(1, 0, 1), SchemaError, "discriminant must be nonzero"),
-    (lambda: FieldInvariants(2, 5, 1, galois_odd_degree=True), SchemaError,
-     "galois_odd_degree requires odd d"),
-    (lambda: RepFamilyParams(0, 2, 1, "bullet", w=1), SchemaError, "need n >= 1 and r >= 0"),
-    (lambda: RepFamilyParams(2, 2, -1, "bullet", w=1), SchemaError, "need n >= 1 and r >= 0"),
-    (lambda: RepFamilyParams(2, 2, 1, "bullet", w_bar=2), SchemaError,
+@pytest.mark.parametrize("build,message", [
+    (lambda: FieldInvariants(0, 1, 1), "d and h_plus must be positive"),
+    (lambda: FieldInvariants(1, 1, 0), "d and h_plus must be positive"),
+    (lambda: FieldInvariants(1, 0, 1), "discriminant must be nonzero"),
+    (lambda: FieldInvariants(2, 5, 1, galois_odd_degree=True), "galois_odd_degree requires odd d"),
+    (lambda: RepFamilyParams(0, 2, 1, "bullet", w=1), "need n >= 1 and r >= 0"),
+    (lambda: RepFamilyParams(2, 2, -1, "bullet", w=1), "need n >= 1 and r >= 0"),
+    (lambda: RepFamilyParams(2, 2, 1, "bullet", w_bar=2),
      "bullet variant takes w only; w_bar is derived"),
-    (lambda: RepFamilyParams(2, 2, 1, "bullet", w=1, w_bar=2), SchemaError,
-     "bullet variant takes w only; w_bar is derived"),
-    (lambda: RepFamilyParams(2, 2, 1, "bullet", w=-1), SchemaError, "w must be non-negative"),
-    (lambda: RepFamilyParams(2, 2, 1, "circle", w=1), SchemaError,
-     "circle variant takes w_bar only"),
-    (lambda: RepFamilyParams(2, 2, 1, "circle"), SchemaError, "circle variant takes w_bar only"),
-    (lambda: RepFamilyParams(2, 2, 1, "circle", w_bar=-1), SchemaError,
-     "w_bar must be non-negative"),
-    (lambda: RepFamilyParams(2, 2, 1, "square", w=1), SchemaError, "unknown variant 'square'"),
-    (lambda: RepFamilyParams(2, 2, 1, "st", w=1), SchemaError, "unknown variant 'st'"),
-    (lambda: rt_setting(Q_FIELD, 1, "x"), SchemaError,
-     "variant must be 'st' or 'st_with_ell0', got 'x'"),
-    (lambda: rt_setting(Q_FIELD, 1, "st_with_ell0"), SchemaError,
-     "ell0 is required for variant 'st_with_ell0'"),
-    (lambda: rt_setting(Q_FIELD, 1, "st", 3), SchemaError,
-     "ell0 is only meaningful for variant 'st_with_ell0'"),
-    (lambda: central_binomial(0), ValueError, "n must be positive"),
-    (lambda: IntPolynomial(()), SchemaError, "empty coefficient sequence"),
-    (lambda: IntPolynomial((1, 2)), SchemaError, "polynomial is not monic: leading coefficient 2"),
-    (lambda: IntPolynomial([2, 1, 3]), SchemaError,
-     "polynomial is not monic: leading coefficient 3"),
-    (lambda: IntPolynomial([0.5, 1]), SchemaError, "coefficients must be integers, got 0.5"),
-    (lambda: IntPolynomial((0,) * 65 + (1,)), PreconditionError, "degree 65 exceeds cap 64"),
-    (lambda: from_power_sums((1,), 2), ValueError, "need at least 2 power sums, got 1"),
-    (lambda: power_transform(QUAD, -1), SchemaError, "s must be non-negative"),
-    (lambda: from_prime_power_roots(1, ()), ValueError, "q must be at least 2"),
-    (lambda: from_prime_power_roots(2, (1.5,)), SchemaError, "t must be integers, got 1.5"),
-    (lambda: from_prime_power_roots(2, (-1,)), SchemaError, "t_k must be non-negative, got -1"),
-    (lambda: prime_power_base(6), ValueError, "6 is not a prime power"),
-    # the least integer past the witness range has no witness as a factor
-    (lambda: is_prime(3_317_044_064_679_887_385_961_981), PreconditionError,
-     "primality of 3317044064679887385961981 exceeds the deterministic witness range"),
-    (lambda: WeilDatum(QUAD, 2, (1,)), SchemaError,
-     "weight multiset size must equal the polynomial degree"),
-    (lambda: validate_weights(QUAD, 2, [1]), SchemaError,
-     "weight multiset size must equal the polynomial degree"),
-    (lambda: validate_weights(QUAD, 2, [1, 1, 1]), SchemaError,
-     "weight multiset size must equal the polynomial degree"),
-    (lambda: WeilDatum(QUAD, 2, (-1, 1)), SchemaError, "weights must be non-negative"),
-    (lambda: WeilDatum(QUAD, 2, (1, -1)), SchemaError, "weights must be non-negative"),
-    (lambda: WeilDatum(QUAD, 2, (1.9, 1.2)), SchemaError, "weights must be integers, got 1.9"),
-    (lambda: validate_weights(QUAD, 2, (1, 1.5)), SchemaError, "weights must be integers, got 1.5"),
+    (lambda: RepFamilyParams(2, 2, 1, "bullet", w=-1), "w must be non-negative"),
+    (lambda: RepFamilyParams(2, 2, 1, "circle", w=1), "circle variant takes w_bar only"),
+    (lambda: RepFamilyParams(2, 2, 1, "circle", w_bar=-1), "w_bar must be non-negative"),
+    (lambda: RepFamilyParams(2, 2, 1, "square", w=1), "unknown variant 'square'"),
+    (lambda: IntPolynomial(()), "empty coefficient sequence"),
+    (lambda: IntPolynomial((1, 2)), "polynomial is not monic: leading coefficient 2"),
+    (lambda: IntPolynomial((0,) * 65 + (1,)), "degree 65 exceeds cap 64"),
+    (lambda: WeilDatum(QUAD, 2, (1,)), "weight multiset size must equal the polynomial degree"),
+    (lambda: WeilDatum(QUAD, 2, (-1, 1)), "weights must be non-negative"),
     # T - 8 at q = 4: |8| = 4^(3/2), so weight 3
     (lambda: CongruenceInstance(WeilDatum(IntPolynomial((-8, 1)), 4, (3,)), 1, 1, (1,), w_bar=2),
-     SchemaError, "total weight 3 exceeds budget 2"),
-    (lambda: CongruenceInstance(DATUM, 1, 1, (1, 1), w_bar=1), SchemaError,
-     "total weight 2 exceeds budget 1"),
-    (lambda: CongruenceInstance(DATUM, 2, 2, (1, 1), w_bar=1), SchemaError,
-     "total weight 2 exceeds budget 1"),
-    (lambda: CongruenceInstance(DATUM, 1, 1, (1,)), SchemaError,
-     "t must have one entry per eigenvalue"),
-    (lambda: CongruenceInstance(DATUM, 1, 1, (0, 1, 1)), SchemaError,
-     "t must have one entry per eigenvalue"),
-    (lambda: CongruenceInstance(DATUM, 2, 2, (1.7, 1.2)), SchemaError,
-     "t must be integers, got 1.7"),
-    (lambda: CongruenceInstance(DATUM, 3, 2, (1, 1)), PreconditionError,
-     "need 0 <= s <= u, got s=3, u=2"),
-    (lambda: CongruenceInstance(DATUM, 1, 1, (2, 0)), PreconditionError,
+     "total weight 3 exceeds budget 2"),
+    (lambda: CongruenceInstance(DATUM, 1, 1, (1,)), "t must have one entry per eigenvalue"),
+    (lambda: CongruenceInstance(DATUM, 3, 2, (1, 1)), "need 0 <= s <= u, got s=3, u=2"),
+    (lambda: CongruenceInstance(DATUM, 1, 1, (2, 0)),
      "every t_k must lie in [0, r*u] = [0, 1]"),
-    (lambda: CongruenceInstance(WeilDatum(IntPolynomial((1,)), 2, ()), 1, 1, ()),
-     PreconditionError, "poly must have degree at least 1"),
-    (lambda: CongruenceInstance(DATUM, 1, 1, (1, 1), d=-1), PreconditionError,
-     "d must be positive, got -1"),
-    # 2*c_2*2^(2*10^5) has about 60,000 digits
-    (lambda: CongruenceInstance(DATUM, 10 ** 5, 10 ** 5, (1, 1)), PreconditionError,
-     "bound 2*c_n*ell0^(d*M*u) has more than 4300 digits"),
-    (lambda: forced_equality(CongruenceInstance(DATUM, 1, 1, (1, 1)), 2), PreconditionError,
-     "ell must not divide q"),
-    (lambda: forced_equality(CongruenceInstance(
-        WeilDatum(IntPolynomial((4, 1, 1)), 4, (1, 1)), 1, 1, (0, 1)), 2), PreconditionError,
-     "ell must not divide q"),
-    (lambda: counterexample_search(2, 3, 1, 50), PreconditionError, "n must be 2 or 4"),
-    (lambda: TameCharacterExponent(4, 2, 1), SchemaError, "ell = 4 is not prime"),
-    (lambda: TameCharacterExponent(4, 2, 7), SchemaError, "ell = 4 is not prime"),
-    (lambda: TameCharacterExponent(9, 2, 7), SchemaError, "ell = 9 is not prime"),
-    (lambda: TameCharacterExponent(5, 0, 0), SchemaError, "level must be positive"),
-    (lambda: TameCharacterExponent(5, -1, 0), SchemaError, "level must be positive"),
-    (lambda: TameCharacterExponent(5, 2, 24), SchemaError, "exponent must lie in [0, 23], got 24"),
-    (lambda: TameCharacterExponent(5, 2, -1), SchemaError, "exponent must lie in [0, 23], got -1"),
+    (lambda: forced_equality(CongruenceInstance(DATUM, 1, 1, (1, 1)), 2), "ell must not divide q"),
+    (lambda: TameCharacterExponent(4, 2, 7), "ell = 4 is not prime"),
+    (lambda: TameCharacterExponent(5, 0, 0), "level must be positive"),
+    (lambda: TameCharacterExponent(5, 2, 24), "exponent must lie in [0, 23], got 24"),
+    (lambda: central_binomial(0), "n must be positive"),
+    (lambda: from_power_sums((1,), 2), "need at least 2 power sums, got 1"),
+    (lambda: from_prime_power_roots(1, ()), "q must be at least 2"),
+    (lambda: prime_power_base(6), "6 is not a prime power"),
+])
+def test_invalid_arguments_raise_the_same_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+# every wrong-shape fault a document can reach, raised where it is found:
+# the CLI maps SchemaError to exit 2 and wraps no call
+WRONG_SHAPES = [
+    (lambda: FieldInvariants(0, 1, 1), "d and h_plus must be positive"),
+    (lambda: FieldInvariants(1, 0, 1), "discriminant must be nonzero"),
+    (lambda: FieldInvariants(2, 5, 1, True), "galois_odd_degree requires odd d"),
+    (lambda: RepFamilyParams(2, 2, -1, "bullet", w=1), "need n >= 1 and r >= 0"),
+    (lambda: RepFamilyParams(2, 2, 1, "bullet", w=1, w_bar=2),
+     "bullet variant takes w only; w_bar is derived"),
+    (lambda: RepFamilyParams(2, 2, 1, "bullet", w=-1), "w must be non-negative"),
+    (lambda: RepFamilyParams(2, 2, 1, "circle"), "circle variant takes w_bar only"),
+    (lambda: RepFamilyParams(2, 2, 1, "circle", w_bar=-1), "w_bar must be non-negative"),
+    (lambda: RepFamilyParams(2, 2, 1, "st", w=1), "unknown variant 'st'"),
+    (lambda: rt_setting(Q_FIELD, 1, "x"), "variant must be 'st' or 'st_with_ell0', got 'x'"),
+    (lambda: rt_setting(Q_FIELD, 1, "st_with_ell0"), "ell0 is required for variant 'st_with_ell0'"),
+    (lambda: rt_setting(Q_FIELD, 1, "st", 3), "ell0 is only meaningful for variant 'st_with_ell0'"),
+    (lambda: IntPolynomial([]), "empty coefficient sequence"),
+    (lambda: IntPolynomial([2, 1, 3]), "polynomial is not monic: leading coefficient 3"),
+    (lambda: power_transform(QUAD, -1), "s must be non-negative"),
+    (lambda: WeilDatum(QUAD, 2, (1, -1)), "weights must be non-negative"),
+    (lambda: CongruenceInstance(DATUM, 2, 2, (1, 1), w_bar=1), "total weight 2 exceeds budget 1"),
+    (lambda: validate_weights(QUAD, 2, [1, 1, 1]),
+     "weight multiset size must equal the polynomial degree"),
+    (lambda: TameCharacterExponent(9, 2, 7), "ell = 9 is not prime"),
+    (lambda: TameCharacterExponent(5, -1, 0), "level must be positive"),
+    (lambda: TameCharacterExponent(5, 2, -1), "exponent must lie in [0, 23], got -1"),
+    (lambda: CongruenceInstance(DATUM, 1, 1, (0, 1, 1)), "t must have one entry per eigenvalue"),
+    # a value int() would truncate is refused, never coerced
+    (lambda: IntPolynomial([0.5, 1]), "coefficients must be integers, got 0.5"),
+    (lambda: from_prime_power_roots(2, (1.5,)), "t must be integers, got 1.5"),
+    (lambda: from_prime_power_roots(2, (-1,)), "t_k must be non-negative, got -1"),
+    (lambda: WeilDatum(QUAD, 2, (1.9, 1.2)), "weights must be integers, got 1.9"),
+    (lambda: validate_weights(QUAD, 2, (1, 1.5)), "weights must be integers, got 1.5"),
+    (lambda: CongruenceInstance(DATUM, 2, 2, (1.7, 1.2)), "t must be integers, got 1.7"),
 ]
 
 
-@pytest.mark.parametrize("build,cls,message", FAULTS)
-def test_each_fault_raises_its_class_and_message(build, cls, message):
-    with pytest.raises(ValueError) as exc:
+@pytest.mark.parametrize("build,message", WRONG_SHAPES)
+def test_a_wrong_shape_raises_schema_error_where_it_is_found(build, message):
+    with pytest.raises(SchemaError) as exc:
         build()
-    assert type(exc.value) is cls and str(exc.value) == message
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("build,message", [
+    # the least integer past the witness range has no witness as a factor
+    (lambda: is_prime(3_317_044_064_679_887_385_961_981),
+     "primality of 3317044064679887385961981 exceeds the deterministic witness range"),
+    (lambda: counterexample_search(2, 3, 1, 50), "n must be 2 or 4"),
+])
+def test_a_document_reaches_these_checks_as_precondition_failures(build, message):
+    with pytest.raises(PreconditionError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_normalisation():

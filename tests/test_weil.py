@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from semistable_gate.errors import PreconditionError
+from semistable_gate.gate import CongruenceInstance
 from semistable_gate.intpoly import IntPolynomial, poly_mul
-from semistable_gate.weil import (enumerate_weil_quadratics, functional_equation_check,
-                                  validate_weights)
+from semistable_gate.weil import (
+    WeilDatum,
+    enumerate_weil_quadratics,
+    functional_equation_check,
+    validate_weights,
+)
 
 
 def test_validate_weights_examples():
@@ -22,6 +28,18 @@ def test_validate_weights_permutation_invariant():
     f = poly_mul(IntPolynomial((-2, 1)), IntPolynomial((-4, 1)))
     assert validate_weights(f, 2, [2, 4])
     assert validate_weights(f, 2, [4, 2])
+
+
+def test_validate_weights_degree_cap():
+    # the cap is IntPolynomial's, so no polynomial past it reaches validate_weights
+    coeffs = (0,) * 65 + (1,)
+    with pytest.raises(PreconditionError, match=r"^degree 65 exceeds cap 64$"):
+        validate_weights(IntPolynomial(coeffs), 2, [0] * 65)
+
+
+def test_validate_weights_size_mismatch():
+    with pytest.raises(ValueError):
+        validate_weights(IntPolynomial((2, 1, 1)), 2, [1])
 
 
 def test_functional_equation_examples():
@@ -75,6 +93,12 @@ def test_product_validates_with_union_multiset():
     assert validate_weights(poly_mul(f, g), 2, [1, 1, 4])
 
 
+def test_weil_datum_constraints():
+    datum = WeilDatum(IntPolynomial((2, 1, 1)), 2, (1, 1))
+    with pytest.raises(ValueError, match=r"^total weight 2 exceeds budget 1$"):
+        CongruenceInstance(datum, 1, 1, (1, 1), w_bar=1)  # budget too small
+    with pytest.raises(ValueError):
+        WeilDatum(IntPolynomial((2, 1, 1)), 2, (1,))    # size mismatch
 
 
 @st.composite
