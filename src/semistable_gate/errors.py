@@ -27,13 +27,24 @@ class InternalConsistencyError(RuntimeError):
     """A state that is mathematically impossible for valid inputs."""
 
 
+def _exact(v) -> bool:
+    try:
+        return int(v) == v
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def exact_ints(values, what: str) -> tuple[int, ...]:
     """values as a tuple of ints; a value that int() would change (0.5, 1.9,
-    "3") is a SchemaError naming the first such, never truncated."""
+    "3") or cannot convert ("x", None, inf, 1j) is a SchemaError naming the
+    first such, never truncated."""
     values = tuple(values)
-    ints = tuple(map(int, values))
+    try:
+        ints = tuple(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        ints = None
     if ints != values:
-        bad = next(v for v, i in zip(values, ints) if i != v)
+        bad = next(v for v in values if not _exact(v))
         raise SchemaError(f"{what} must be integers, got {bad!r}")
     return ints
 

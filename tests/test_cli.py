@@ -143,6 +143,10 @@ GATE_SEARCH_SHA256 = {
     # q = 4 = 2^2: these bytes move with ROADMAP item 18 (a prime-power q needs a
     # field of degree d >= f), to a sha re-derived independently of the program
     (4, 4, 2, 2000): "df974db0c69d1f3bcaf22deda8f6410eac847de50a7b4516de9f5d8c21bbdd10",
+    # the one sweep here with an equal cell: (T^2 + 2)^2 at s = 4, t = (2, 2, 2, 2)
+    (2, 4, 4, 5000): "ed0fd24517ab2f07cc3178e15f7a6bd8aefc3fb36c57f2e6b68a5c50dfebb823",
+    # the heaviest sweep config, 1,995 instances
+    (5, 4, 3, 5000): "2662d018bca447272082f084ea7197d4593e866b720d81fb26dbe763a01156c8",
 }
 
 
@@ -820,6 +824,29 @@ def test_thresholds_past_the_digit_limit_are_never_passed(command, doc, verdict)
     assert json.loads(out)["verdicts"] == [{"ell": 17, **verdict}]
 
 
+# answers that the library tests check, through the CLI: these keys of the certificate
+@pytest.mark.parametrize("command,doc,body", [
+    # T*f(4/T) = 4 - 2T = c_0*f(T) for f = T - 2: n*w is odd, yet q^(nw) is a square
+    ("weil-check", {"query": {"poly": [-2, 1], "q": 4, "weights": [1]}},
+     {"weights_valid": True, "functional_equation": True}),
+    # the cubic field of T^3 - T - 1 is flagged Galois, but its discriminant -23 is
+    # no positive square: Trivial does not decide, and Cor2 certifies Empty above
+    # 2*c_1*2^ceil(3*1/2) = 8
+    ("decide", {"field": {"d": 3, "disc": -23, "h_plus": 1, "galois_odd_degree": True},
+                "params": {"n": 1, "ell0": 2, "r": 0, "variant": "bullet", "w": 1},
+                "query": {"ell": 101}},
+     {"verdicts": [{"ell": 101, "verdicts": [
+         _not_decided("Trivial", "n_odd w_odd !galois_odd_degree ell_ne_ell0"),
+         {"conclusion": "Empty", "situation": "a", "theorem": "Cor2", "threshold": 8,
+          "trace": [[h, True] for h in ("w_odd_or_w_gt_2r", "ell_does_not_split_in_K",
+                                        "w_odd", "ell_not_dividing_disc", "ell_gt_threshold")]}]}]}),
+], ids=["weil-check-t-minus-2-at-q-4", "decide-cubic-disc-minus-23"])
+def test_the_cli_answers_as_the_library_does(command, doc, body):
+    code, out, err = run_cli(command, doc)
+    cert = json.loads(out)
+    assert (code, err) == (0, "") and {key: cert[key] for key in body} == body
+
+
 # Integers up to 10^4000, as m*10^k + c, in every integer key of the six
 # commands that carry a threshold; each document is otherwise well formed, so
 # most reach the settings
@@ -1031,6 +1058,9 @@ REFUSED = {
     # the gate instance, not the Weil datum, holds and checks the weight budget
     "gate-w_bar-below-the-total-weight": ("gate", {"query": dict(GATE, w_bar=1)}, 2,
                                           "schema error: total weight 2 exceeds budget 1"),
+    "etale-w-negative-at-an-ell": (
+        "etale", {"field": RT_FIELD, "query": {"b_w": 2, "ell_X": 2, "w": -1, "ell": [17]}}, 3,
+        "precondition failure: w must be positive, got -1"),
 }
 
 

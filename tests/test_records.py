@@ -150,6 +150,13 @@ WRONG_SHAPES = [
     (lambda: WeilDatum(QUAD, 2, (1.9, 1.2)), "weights must be integers, got 1.9"),
     (lambda: validate_weights(QUAD, 2, (1, 1.5)), "weights must be integers, got 1.5"),
     (lambda: CongruenceInstance(DATUM, 2, 2, (1.7, 1.2)), "t must be integers, got 1.7"),
+    # a value int() cannot convert is refused the same way, not with int()'s own error
+    (lambda: IntPolynomial(["x", 1]), "coefficients must be integers, got 'x'"),
+    (lambda: IntPolynomial([None, 1]), "coefficients must be integers, got None"),
+    (lambda: validate_weights(IntPolynomial([2, 1, 1]), 2, [None, 1]),
+     "weights must be integers, got None"),
+    (lambda: IntPolynomial([float("inf"), 1]), "coefficients must be integers, got inf"),
+    (lambda: IntPolynomial([1j, 1]), "coefficients must be integers, got 1j"),
 ]
 
 

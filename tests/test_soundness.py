@@ -5,11 +5,13 @@ its cyclotomic subfamily, and `rt`, `ec-irred` and `etale`): each Empty the
 CLI certifies, at the query's primes and at its --min-ell answer, must pass
 `trace_checker`, which recomputes every claim from the input document and
 shares no code with the package.  An `ast` guard keeps the independent
-checkers free of the package."""
+checkers free of the package, and another keeps the golden regeneration to
+the standard library."""
 
 import ast
 import json
 import pathlib
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -143,8 +145,9 @@ INDEPENDENT = ["tests/trace_checker.py", "tests/golden_cases.py", "bench/oracle.
                "bench/workloads.py"]
 
 
-@pytest.mark.parametrize("path", INDEPENDENT)
-def test_the_independent_checkers_import_nothing_of_the_package(path):
+def _imports(path: str) -> list[tuple[int, str]]:
+    """(line, module) for each import in the file at path, by statement or by
+    a string among an import call's arguments."""
     tree = ast.parse((pathlib.Path(__file__).resolve().parents[1] / path).read_text("utf-8"))
     found = []
     for node in ast.walk(tree):
@@ -158,5 +161,18 @@ def test_the_independent_checkers_import_nothing_of_the_package(path):
                      if isinstance(c, ast.Constant) and isinstance(c.value, str)]
         else:
             continue
-        found += [(node.lineno, n) for n in names if "semistable_gate" in n]
-    assert found == []
+        found += [(node.lineno, n) for n in names]
+    return found
+
+
+@pytest.mark.parametrize("path", INDEPENDENT)
+def test_the_independent_checkers_import_nothing_of_the_package(path):
+    assert [(line, n) for line, n in _imports(path) if "semistable_gate" in n] == []
+
+
+# CI regenerates the goldens with these two files against `pip install .`,
+# which installs none of the test extras
+@pytest.mark.parametrize("path", ["scripts/regen_golden.py", "tests/golden_cases.py"])
+def test_the_golden_regeneration_imports_only_the_standard_library(path):
+    allowed = sys.stdlib_module_names | {"golden_cases", "semistable_gate"}
+    assert [(line, n) for line, n in _imports(path) if n.split(".")[0] not in allowed] == []
