@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "bounds": """DerivedConstants FieldInvariants RepFamilyParams Setting
-        Verdict central_binomial cor1_setting cor2_setting decide decide_cor1 decide_cor2
-        decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
-        ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting
-        trivial_setting""",
+    "bounds": """DerivedConstants FieldInvariants RepFamilyParams Setting Verdict
+        central_binomial cor1_setting cor2_setting decide derived_constants
+        ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting trivial_setting""",
     "gate": "CongruenceInstance GateVerdict counterexample_search forced_equality",
     "intpoly": "IntPolynomial from_power_sums from_prime_power_roots power_transform",
     "tame": "TameCharacterExponent canonical_exponent digit_weights frobenius_orbit",

@@ -192,10 +192,16 @@ def _facts(inv: FieldInvariants, p: RepFamilyParams | None = None) -> tuple[dict
 
 
 def trivial_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
+    """Parity shortcut: the Frobenius determinant has absolute value
+    q^{n*w/2} and must be a rational integer; when n and w are odd and K/Q
+    is Galois of odd degree every residue degree is odd, so q^{n*w/2} is
+    never an integer and the family is empty for every ell != ell0."""
     return Setting("Trivial", (0, 0), *_facts(inv, p), p.ell0)
 
 
 def cor1_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
+    """The cyclotomic-graded uniform-weight family, via the unprimed
+    thresholds C1/C2."""
     facts = _facts(inv, p)
     if not p.cyclotomic:
         raise PreconditionError("this decision applies to the cyclotomic subfamily only")
@@ -204,6 +210,8 @@ def cor1_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
 
 
 def cor2_setting(inv: FieldInvariants, p: RepFamilyParams) -> Setting:
+    """The residually-Borel uniform-weight family, via the primed thresholds
+    C1'/C2'; gated on ell non-split in K."""
     facts = _facts(inv, p)
     M = size_exponent(p.n, p.r, p.weight_budget)
     return Setting("Cor2", _a_b(p.n, p.ell0, inv.d, M, inv.h_plus), *facts, p.ell0)
@@ -234,13 +242,15 @@ def rt_setting(inv: FieldInvariants, g: int, variant: str,
 
 def ec_irred_setting(inv: FieldInvariants, ell_E: int) -> Setting:
     """Irreducibility of the ell-torsion of a semistable elliptic curve with
-    good reduction above ell_E: thresholds 4*ell_E^(2dh+) and 4*ell_E^(2d^2h+)."""
+    good reduction above ell_E: thresholds 4*ell_E^(2dh+) and 4*ell_E^(2d^2h+).
+    Empty here reads "E[ell] is irreducible"."""
     return Setting("Ell", _a_b(2, ell_E, inv.d, 2, inv.h_plus), *_facts(inv))
 
 
 def etale_setting(inv: FieldInvariants, b_w: int, ell_X: int, w: int) -> Setting:
     """Residual-Borel exclusion for odd-degree etale cohomology of Betti
-    number b_w and odd weight w >= 1 with good reduction above ell_X."""
+    number b_w and odd weight w >= 1 with good reduction above ell_X.  Empty
+    here reads "the cohomology group is not residually Borel"."""
     if w % 2 == 0:
         raise PreconditionError(f"w must be odd, got {brief(w)}")
     if w < 1:
@@ -308,49 +318,29 @@ def least_empty_prime(settings: Sequence[Setting], divides_disc: bool = False,
     return ell
 
 
-# ---- the decision entries ---------------------------------------------------
-# Each builds a setting and decides it at one prime, reading the flags as `decide` does.
+# ---- the tracer's bindings --------------------------------------------------
+# `bench/tracing.py`'s `WRAPPED` looks these names up and is their only reader;
+# each decides one family's setting at one prime, as `decide` does.
 
-def decide_cor1(inv: FieldInvariants, p: RepFamilyParams, ell: int, *,
-                divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
-    """Emptiness for the cyclotomic-graded uniform-weight family, via the
-    unprimed thresholds C1/C2."""
+def decide_cor1(inv, p, ell, *, divides_disc=False, splits_in_K=False):
     return decide(cor1_setting(inv, p), ell, divides_disc, splits_in_K)
 
 
-def decide_cor2(inv: FieldInvariants, p: RepFamilyParams, ell: int, *,
-                divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
-    """Emptiness for the residually-Borel uniform-weight family, via the
-    primed thresholds C1'/C2'; requires ell non-split in K."""
+def decide_cor2(inv, p, ell, *, divides_disc=False, splits_in_K=False):
     return decide(cor2_setting(inv, p), ell, divides_disc, splits_in_K)
 
 
-def decide_trivial(inv: FieldInvariants, p: RepFamilyParams, ell: int) -> Verdict:
-    """Parity shortcut: the Frobenius determinant has absolute value
-    q^{n*w/2} and must be a rational integer; when n and w are odd and K/Q
-    is Galois of odd degree every residue degree is odd, so q^{n*w/2} is
-    never an integer and the family is empty for every ell != ell0."""
+def decide_trivial(inv, p, ell):
     return decide(trivial_setting(inv, p), ell)
 
 
-def decide_rt(inv: FieldInvariants, g: int, ell: int, variant: str = "st",
-              ell0: int | None = None, *, divides_disc: bool = False,
-              splits_in_K: bool = False) -> Verdict:
-    """Emptiness of the semistable torsion-tower family of g-dimensional
-    abelian varieties (thresholds in `rt_setting`)."""
+def decide_rt(inv, g, ell, variant="st", ell0=None, *, divides_disc=False, splits_in_K=False):
     return decide(rt_setting(inv, g, variant, ell0), ell, divides_disc, splits_in_K)
 
 
-def decide_ec_irred(inv: FieldInvariants, ell_E: int, ell: int, *,
-                    divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
-    """Irreducibility of the ell-torsion of a semistable elliptic curve with
-    good reduction above ell_E.  Empty here reads "E[ell] is irreducible"."""
+def decide_ec_irred(inv, ell_E, ell, *, divides_disc=False, splits_in_K=False):
     return decide(ec_irred_setting(inv, ell_E), ell, divides_disc, splits_in_K)
 
 
-def decide_etale(inv: FieldInvariants, b_w: int, ell_X: int, w: int, ell: int, *,
-                 divides_disc: bool = False, splits_in_K: bool = False) -> Verdict:
-    """Residual-Borel exclusion for odd-degree etale cohomology of Betti
-    number b_w with good reduction above ell_X.  Empty here reads "the
-    cohomology group is not residually Borel"."""
+def decide_etale(inv, b_w, ell_X, w, ell, *, divides_disc=False, splits_in_K=False):
     return decide(etale_setting(inv, b_w, ell_X, w), ell, divides_disc, splits_in_K)

@@ -176,19 +176,18 @@ def _take(d, where: str, required: dict, optional: dict) -> dict:
     rejected; then the prime and prime-power keys tested, in schema order."""
     if not isinstance(d, dict):
         raise SchemaError(f"{where} must be a JSON object")
-    unknown = set(d) - set(required) - set(optional)
+    schema = {**required, **optional}
+    unknown = set(d) - set(schema)
     if unknown:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
     out = {}
-    for key, typ in required.items():
-        if key not in d:
-            raise SchemaError(f"missing key {key!r} in {where}")
-        out[key] = _coerce(d[key], typ, f"{where}.{key}")
-    for key, typ in optional.items():
+    for key, typ in schema.items():
         if key in d:
             out[key] = _coerce(d[key], typ, f"{where}.{key}")
+        elif key in required:
+            raise SchemaError(f"missing key {key!r} in {where}")
     for key, value in out.items():
-        typ = required.get(key, optional.get(key))
+        typ = schema[key]
         if typ == "prime_power" and not is_prime_power(value):
             raise SchemaError(f"{where}.{key} = {brief(value)} is not a prime power")
         for n in _as_list(value) if typ in ("prime", "prime_list") else ():
@@ -281,8 +280,7 @@ def _cmd_weil_check(inv, p, query, args) -> dict:
     from .weil import functional_equation_check, validate_weights
     poly, weights = IntPolynomial(query["poly"]), query["weights"]
     body: dict = {"weights_valid": validate_weights(poly, query["q"], weights)}
-    uniform = len(set(weights)) <= 1
-    if uniform and weights:
+    if len(set(weights)) == 1:
         body["functional_equation"] = functional_equation_check(
             poly, query["q"], weights[0])
     return body

@@ -17,16 +17,14 @@ from semistable_gate import cli
 from semistable_gate.bounds import (
     FieldInvariants,
     RepFamilyParams,
-    decide_cor1,
-    decide_cor2,
-    decide_ec_irred,
-    decide_etale,
-    decide_rt,
-    decide_trivial,
+    cor1_setting,
+    cor2_setting,
+    decide,
     derived_constants,
     ec_irred_setting,
     etale_setting,
     rt_setting,
+    trivial_setting,
 )
 from semistable_gate.gate import counterexample_search, lemma_bound, size_exponent
 from semistable_gate.intpoly import IntPolynomial, power_transform
@@ -178,25 +176,25 @@ def test_criterion_7_one_directionality_fuzz():
                 p = RepFamilyParams(rng.randint(1, 6), rng.choice([2, 3, 5]),
                                     rng.randint(0, 3), "bullet",
                                     w=rng.randint(0, 3), cyclotomic=True)
-                v = decide_cor1(inv, p, ell, **flags)
+                v = decide(cor1_setting(inv, p), ell, **flags)
             elif kind == 1:
                 p = RepFamilyParams(rng.randint(1, 6), rng.choice([2, 3, 5]),
                                     rng.randint(0, 3), "bullet", w=rng.randint(0, 3))
-                v = decide_cor2(inv, p, ell, **flags)
+                v = decide(cor2_setting(inv, p), ell, **flags)
             elif kind == 2:
                 p = RepFamilyParams(rng.randint(1, 6), rng.choice([2, 3, 5]),
                                     rng.randint(0, 3), "bullet", w=rng.randint(0, 3))
-                v = decide_trivial(inv, p, ell)
+                v = decide(trivial_setting(inv, p), ell)
             elif kind == 3:
                 g, variant, ell0 = (rng.randint(1, 4), rng.choice(["st", "st_with_ell0"]),
                                     rng.choice([2, 3, 5]))
-                v = decide_rt(inv, g, ell, variant,
-                              ell0=ell0 if variant == "st_with_ell0" else None, **flags)
+                v = decide(rt_setting(inv, g, variant,
+                                      ell0 if variant == "st_with_ell0" else None), ell, **flags)
             elif kind == 4:
-                v = decide_ec_irred(inv, rng.choice([2, 3, 5]), ell, **flags)
+                v = decide(ec_irred_setting(inv, rng.choice([2, 3, 5])), ell, **flags)
             else:
-                v = decide_etale(inv, rng.randint(1, 4), rng.choice([2, 3, 5]),
-                                 rng.choice([1, 3]), ell, **flags)
+                v = decide(etale_setting(inv, rng.randint(1, 4), rng.choice([2, 3, 5]),
+                                         rng.choice([1, 3])), ell, **flags)
         except ValueError:
             continue  # ell == ell0 and similar precondition rejections
         checked += 1

@@ -8,16 +8,16 @@ from semistable_gate.bounds import (
     FieldInvariants,
     RepFamilyParams,
     central_binomial,
+    cor1_setting,
     cor2_setting,
-    decide_cor1,
-    decide_cor2,
-    decide_ec_irred,
-    decide_etale,
-    decide_rt,
-    decide_trivial,
+    decide,
     derived_constants,
+    ec_irred_setting,
+    etale_setting,
     least_empty_prime,
     lemma_bound,
+    rt_setting,
+    trivial_setting,
 )
 from semistable_gate.errors import PreconditionError
 from semistable_gate.primes import next_prime
@@ -97,36 +97,33 @@ def test_variant_field_exclusivity():
 
 def test_decide_cor1_examples():
     p = bullet(2, 2, 1, 1, cyclotomic=True)
-    v = decide_cor1(Q_FIELD, p, 17)
+    v = decide(cor1_setting(Q_FIELD, p), 17)
     assert (v.conclusion, v.situation, v.threshold) == ("Empty", "a", 16)
     assert all(ok for _, ok in v.trace)
 
-    v = decide_cor1(Q_FIELD, p, 13)
+    v = decide(cor1_setting(Q_FIELD, p), 13)
     assert v.conclusion == "NotDecided"
 
     # standing hypothesis fails: w = 2 = 2r is neither odd nor > 2r
-    v = decide_cor1(Q_FIELD, bullet(2, 2, 1, 2, cyclotomic=True),
-                    10 ** 9 + 7)
+    v = decide(cor1_setting(Q_FIELD, bullet(2, 2, 1, 2, cyclotomic=True)), 10 ** 9 + 7)
     assert v.conclusion == "NotDecided"
 
 
 def test_decide_cor1_requires_cyclotomic():
     with pytest.raises(ValueError):
-        decide_cor1(Q_FIELD, bullet(2, 2, 1, 1), 17)
+        decide(cor1_setting(Q_FIELD, bullet(2, 2, 1, 1)), 17)
 
 
 def test_decide_cor1_rejects_ell0():
     with pytest.raises(PreconditionError, match=r"^ell = ell0 = 2 is outside the framework$"):
-        decide_cor1(Q_FIELD, bullet(2, 2, 1, 1, cyclotomic=True),
-                    2)
+        decide(cor1_setting(Q_FIELD, bullet(2, 2, 1, 1, cyclotomic=True)), 2)
 
 
 def test_decide_cor2_examples():
-    v = decide_cor2(Q_FIELD, bullet(2, 3, 1, 1), 37)
+    v = decide(cor2_setting(Q_FIELD, bullet(2, 3, 1, 1)), 37)
     assert (v.conclusion, v.situation, v.threshold) == ("Empty", "a", 36)
 
-    v = decide_cor2(FieldInvariants(2, 5, 1), bullet(2, 3, 1, 1),
-                    37, splits_in_K=True)
+    v = decide(cor2_setting(FieldInvariants(2, 5, 1), bullet(2, 3, 1, 1)), 37, splits_in_K=True)
     assert v.conclusion == "NotDecided"
     assert ("ell_does_not_split_in_K", False) in v.trace
 
@@ -135,12 +132,12 @@ def test_decide_cor2_odd_dimension_threshold_48():
     # n = 3, w = 1, r = 1, d = 1, ell0 = 2: M = 3, C1' = C2' = 2*3*8 = 48.
     # Over Q no prime divides the discriminant, so the flag is ignored and
     # situation (a) fires.
-    v = decide_cor2(Q_FIELD, bullet(3, 2, 1, 1), 53, divides_disc=True)
+    v = decide(cor2_setting(Q_FIELD, bullet(3, 2, 1, 1)), 53, divides_disc=True)
     assert (v.conclusion, v.situation, v.threshold) == ("Empty", "a", 48)
     # Over a cubic field the flag blocks (a); d = 3 is odd, so (b) fires
     # before (e) at the same threshold C2' = 2*3*2^(d^2*h*M) = 6*2^27.
     ell = next_prime(6 * 2 ** 27)
-    v = decide_cor2(FieldInvariants(3, 49, 1), bullet(3, 2, 1, 1), ell, divides_disc=True)
+    v = decide(cor2_setting(FieldInvariants(3, 49, 1), bullet(3, 2, 1, 1)), ell, divides_disc=True)
     assert (v.conclusion, v.situation, v.threshold) == ("Empty", "b", 6 * 2 ** 27)
 
 
@@ -149,20 +146,20 @@ def test_decide_cor2_situation_e_fires_for_even_degree():
     # (e) needs w, n odd and ell > C2' = 2*3*2^(d^2*h*M) = 24576.
     inv = FieldInvariants(2, 5, 1)
     p = bullet(3, 2, 1, 1)
-    v = decide_cor2(inv, p, 24593, divides_disc=True)
+    v = decide(cor2_setting(inv, p), 24593, divides_disc=True)
     assert (v.conclusion, v.situation, v.threshold) == ("Empty", "e", 24576)
-    below = decide_cor2(inv, p, 53, divides_disc=True)
+    below = decide(cor2_setting(inv, p), 53, divides_disc=True)
     assert below.conclusion == "NotDecided"
 
 
 def test_decide_trivial():
     p = bullet(1, 2, 1, 1)
-    v = decide_trivial(Q_FIELD, p, 5)
+    v = decide(trivial_setting(Q_FIELD, p), 5)
     assert v.conclusion == "Empty" and v.threshold == 0
-    assert decide_trivial(Q_FIELD, bullet(2, 2, 1, 1), 5).conclusion == "NotDecided"
-    assert decide_trivial(Q_FIELD, p, 2).conclusion == "NotDecided"
+    assert decide(trivial_setting(Q_FIELD, bullet(2, 2, 1, 1)), 5).conclusion == "NotDecided"
+    assert decide(trivial_setting(Q_FIELD, p), 2).conclusion == "NotDecided"
     non_galois = FieldInvariants(3, 49, 1, galois_odd_degree=False)
-    assert decide_trivial(non_galois, p, 5).conclusion == "NotDecided"
+    assert decide(trivial_setting(non_galois, p), 5).conclusion == "NotDecided"
 
 
 @pytest.mark.parametrize("d,disc,galois", [
@@ -174,59 +171,58 @@ def test_decide_trivial():
 ])
 def test_the_galois_flag_holds_only_where_the_invariants_prove_it(d, disc, galois):
     inv = FieldInvariants(d, disc, 1, galois_odd_degree=True)
-    conclusion = decide_trivial(inv, bullet(1, 2, 1, 1), 5).conclusion
+    conclusion = decide(trivial_setting(inv, bullet(1, 2, 1, 1)), 5).conclusion
     assert conclusion == ("Empty" if galois else "NotDecided")
 
 
 def test_decide_rt_examples():
-    v = decide_rt(Q_FIELD, 1, 17, "st")
+    v = decide(rt_setting(Q_FIELD, 1, "st"), 17)
     assert (v.conclusion, v.situation, v.threshold) == ("Empty", "a", 16)
 
-    v = decide_rt(Q_FIELD, 2, 200, "st")
+    v = decide(rt_setting(Q_FIELD, 2, "st"), 200)
     assert v.threshold == 2 ** 5 * 6 == 192
 
-    v = decide_rt(Q_FIELD, 1, 17, "st_with_ell0", ell0=2)
+    v = decide(rt_setting(Q_FIELD, 1, "st_with_ell0", 2), 17)
     assert v.threshold == 2 * 4 * 2 == 16
 
 
 def test_decide_rt_gating():
     inv = FieldInvariants(2, 5, 1)
-    v = decide_rt(inv, 1, 10 ** 9 + 7, "st_with_ell0", ell0=2, splits_in_K=True)
+    v = decide(rt_setting(inv, 1, "st_with_ell0", 2), 10 ** 9 + 7, splits_in_K=True)
     assert v.conclusion == "NotDecided"
     with pytest.raises(PreconditionError, match=r"^ell = ell0 = 2 is outside the framework$"):
-        decide_rt(Q_FIELD, 1, 2, "st_with_ell0", ell0=2)
+        decide(rt_setting(Q_FIELD, 1, "st_with_ell0", 2), 2)
 
 
 def test_decide_ec_irred_examples():
-    v = decide_ec_irred(Q_FIELD, 2, 17)
+    v = decide(ec_irred_setting(Q_FIELD, 2), 17)
     assert (v.conclusion, v.threshold) == ("Empty", 16)
-    v = decide_ec_irred(Q_FIELD, 3, 37)
+    v = decide(ec_irred_setting(Q_FIELD, 3), 37)
     assert (v.conclusion, v.threshold) == ("Empty", 36)
     # real quadratic d = 2, h+ = 1, ell_E = 2: (a) 4*2^4 = 64, (b) 4*2^8 = 1024
-    from semistable_gate.bounds import ec_irred_setting
     inv = FieldInvariants(2, 8, 1)
     assert ec_irred_setting(inv, 2).thresholds == (64, 1024)
-    v = decide_ec_irred(inv, 2, 1031, divides_disc=True)
+    v = decide(ec_irred_setting(inv, 2), 1031, divides_disc=True)
     assert v.conclusion == "NotDecided"  # d even: (b) unavailable, (a) gated off
-    v = decide_ec_irred(inv, 2, 67)
+    v = decide(ec_irred_setting(inv, 2), 67)
     assert (v.situation, v.threshold) == ("a", 64)
 
 
 def test_ec_irred_situation_b_threshold():
     inv = FieldInvariants(3, 49, 1)
     ell = next_prime(4 * 2 ** 18)
-    v = decide_ec_irred(inv, 2, ell, divides_disc=True)
+    v = decide(ec_irred_setting(inv, 2), ell, divides_disc=True)
     # situation (a) is gated off by divides_disc; (b) has threshold 4*2^(2*9*1)
     assert v.situation == "b" and v.threshold == 4 * 2 ** 18
 
 
 def test_decide_etale_examples():
-    v = decide_etale(Q_FIELD, 2, 2, 1, 17)
+    v = decide(etale_setting(Q_FIELD, 2, 2, 1), 17)
     assert (v.conclusion, v.threshold) == ("Empty", 16)
-    v = decide_etale(Q_FIELD, 4, 2, 1, 193)
+    v = decide(etale_setting(Q_FIELD, 4, 2, 1), 193)
     assert (v.conclusion, v.threshold) == ("Empty", 192)
     with pytest.raises(PreconditionError, match=r"^w must be odd, got 2$"):
-        decide_etale(Q_FIELD, 2, 2, 2, 17)
+        decide(etale_setting(Q_FIELD, 2, 2, 2), 17)
 
 
 # 1009 is prime and divides the discriminant of this real quadratic field
@@ -237,11 +233,11 @@ def test_no_empty_claims_coprimality_at_a_prime_dividing_the_discriminant():
     # every (a) threshold here is below 1009, and d = 2 blocks (b): with the
     # flags unset, each entry must still see that 1009 divides the discriminant
     verdicts = [
-        decide_cor1(DISC_1009, bullet(2, 2, 1, 1, cyclotomic=True), 1009),
-        decide_cor2(DISC_1009, bullet(2, 2, 1, 1), 1009),
-        decide_rt(DISC_1009, 1, 1009),
-        decide_ec_irred(DISC_1009, 2, 1009),
-        decide_etale(DISC_1009, 1, 2, 1, 1009),
+        decide(cor1_setting(DISC_1009, bullet(2, 2, 1, 1, cyclotomic=True)), 1009),
+        decide(cor2_setting(DISC_1009, bullet(2, 2, 1, 1)), 1009),
+        decide(rt_setting(DISC_1009, 1, "st"), 1009),
+        decide(ec_irred_setting(DISC_1009, 2), 1009),
+        decide(etale_setting(DISC_1009, 1, 2, 1), 1009),
     ]
     for v in verdicts:
         assert v.conclusion == "NotDecided", v

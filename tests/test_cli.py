@@ -406,8 +406,7 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
 # every name the package exported when its __init__ imported all modules
 EXPORTS = """
     DerivedConstants FieldInvariants RepFamilyParams Setting Verdict
-    central_binomial cor1_setting cor2_setting decide decide_cor1 decide_cor2
-    decide_ec_irred decide_etale decide_rt decide_trivial derived_constants
+    central_binomial cor1_setting cor2_setting decide derived_constants
     ec_irred_setting etale_setting least_empty_prime lemma_bound rt_setting
     trivial_setting
     CongruenceInstance GateVerdict counterexample_search forced_equality
@@ -1061,6 +1060,9 @@ REFUSED = {
     "etale-w-negative-at-an-ell": (
         "etale", {"field": RT_FIELD, "query": {"b_w": 2, "ell_X": 2, "w": -1, "ell": [17]}}, 3,
         "precondition failure: w must be positive, got -1"),
+    "ec-irred-unknown-query-key": (
+        "ec-irred", {"field": RT_FIELD, "query": {"ell_E": 2, "ell": 17, "extra": 1}}, 2,
+        "schema error: unknown keys in query: ['extra']"),
 }
 
 

@@ -145,6 +145,17 @@ def test_counterexample_search_budget():
         counterexample_search(2, 4, 2, 200, budget=10)
 
 
+def test_counterexample_search_budget_meets_the_exact_count_after_the_sieve():
+    # q = 2, n = 2, s_max = 1: 5 quadratics times 3 t vectors is 15 cells, and the
+    # 24 primes up to 100 other than ell0 = 2 make a corpus of 360; the lower
+    # bound, read before the sieve, counts 13 primes
+    with pytest.raises(PreconditionError, match=r"^corpus size at least 195 exceeds budget 194$"):
+        counterexample_search(2, 2, 1, 100, budget=194)
+    with pytest.raises(PreconditionError, match=r"^corpus size 360 exceeds budget 359$"):
+        counterexample_search(2, 2, 1, 100, budget=359)
+    assert len(counterexample_search(2, 2, 1, 100, budget=360)) == 2
+
+
 @given(st.sampled_from(primes_up_to(60)[1:]), st.integers(1, 2))
 @settings(max_examples=40, deadline=None)
 def test_forced_equal_never_fires_at_or_below_bound(ell, s):
