@@ -318,29 +318,5 @@ def least_empty_prime(settings: Sequence[Setting], divides_disc: bool = False,
     return ell
 
 
-# ---- the tracer's bindings --------------------------------------------------
-# `bench/tracing.py`'s `WRAPPED` looks these names up and is their only reader;
-# each decides one family's setting at one prime, as `decide` does.
-
-def decide_cor1(inv, p, ell, *, divides_disc=False, splits_in_K=False):
-    return decide(cor1_setting(inv, p), ell, divides_disc, splits_in_K)
-
-
-def decide_cor2(inv, p, ell, *, divides_disc=False, splits_in_K=False):
-    return decide(cor2_setting(inv, p), ell, divides_disc, splits_in_K)
-
-
-def decide_trivial(inv, p, ell):
-    return decide(trivial_setting(inv, p), ell)
-
-
-def decide_rt(inv, g, ell, variant="st", ell0=None, *, divides_disc=False, splits_in_K=False):
-    return decide(rt_setting(inv, g, variant, ell0), ell, divides_disc, splits_in_K)
-
-
-def decide_ec_irred(inv, ell_E, ell, *, divides_disc=False, splits_in_K=False):
-    return decide(ec_irred_setting(inv, ell_E), ell, divides_disc, splits_in_K)
-
-
-def decide_etale(inv, b_w, ell_X, w, ell, *, divides_disc=False, splits_in_K=False):
-    return decide(etale_setting(inv, b_w, ell_X, w), ell, divides_disc, splits_in_K)
+# read only by `bench/tracing.py`'s `WRAPPED`; ROADMAP item 6 deletes them with the tracer
+decide_cor1 = decide_cor2 = decide_trivial = decide_rt = decide_ec_irred = decide_etale = decide

@@ -54,3 +54,24 @@ def test_the_traced_replay_gives_the_plain_outputs(bench, workload):
     for req, (code, out, err) in zip(requests, traced):
         tally.record(req, oracle.check(req, code, out, err))
     assert tally.unexpected == 0, "\n".join(tally.report())
+
+
+# as `bench/run.py --trace 1` runs it at other seeds: round after round in one
+# process, so state a plain round leaves behind must not change the next one
+@pytest.mark.parametrize("seed", [2, 3, 4, 5])
+@pytest.mark.parametrize("workload", ["cli-mix", "min-ell"])
+def test_rounds_at_other_seeds_give_the_same_outputs(bench, workload, seed):
+    run, oracle = bench["run"], bench["oracle"]
+    requests = bench["workloads"].WORKLOADS[workload](random.Random(seed), ROOT)
+    modules = {"semistable_gate": semistable_gate, "cli": cli, "bounds": bounds, "gate": gate,
+               "intpoly": intpoly, "primes": primes, "tame": tame, "weil": weil}
+    first = run.in_process(cli, requests, None, 0)
+    second = run.in_process(cli, requests, None, 0)
+    tracer = bench["tracing"].Tracer()
+    with tracer.installed(modules):
+        traced = run.in_process(cli, requests, tracer, 0)
+    assert first == second == traced
+    tally = run.Tally()
+    for req, (code, out, err) in zip(requests, traced):
+        tally.record(req, oracle.check(req, code, out, err))
+    assert tally.unexpected == 0, "\n".join(tally.report())
