@@ -11,10 +11,9 @@ failure, 4 internal consistency failure, an exhausted resource (memory,
 recursion depth) or a closed standard output.
 
 `COMMANDS` is each command's whole input contract: per section (field,
-params, query), the record built from it and each key's schema type: int,
-bool, str, "int_list" (an integer or a list of integers), "prime",
-"prime_list" (an integer or a list, each entry prime) or "prime_power".
-Every type is checked before the prime tests; then the records and library
+params, query), the record built from it and each key's schema type, whose
+shape `_SHAPES` gives.  `_section` is the one reader of a section, and it
+checks every type before the prime tests; then the records and library
 functions, called directly, raise the class of their exit code where they
 find a fault, so a document with two faults may report either.  A setting or
 a gate instance checks its own domain when built, once per document whatever
@@ -160,61 +159,47 @@ def _ratio(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _as_list(v) -> list:
-    return list(v) if isinstance(v, list) else [v]
+# A schema type's shape: the JSON type of its value (of each entry, for a
+# list type, where an integer stands for a one-entry list), whether it is a
+# list type, and what its refusal says the value must be.
+_SHAPES = {**dict.fromkeys((int, "prime", "prime_power"), (int, False, "an integer")),
+           **dict.fromkeys(("int_list", "prime_list"),
+                           (int, True, "an integer or list of integers")),
+           bool: (bool, False, "a boolean"), str: (str, False, "a string")}
 
 
-def _section(doc: dict, name: str, make, required: dict, optional: dict):
-    """The record `make` builds from the document's section `name`."""
-    if name not in doc:
-        raise SchemaError(f"missing {name!r} section")
-    return make(**_take(doc[name], name, required, optional))
-
-
-def _take(d, where: str, required: dict, optional: dict) -> dict:
-    """Strict-schema field extraction: every key typed, unknown keys
-    rejected; then the prime and prime-power keys tested, in schema order."""
+def _section(doc: dict, where: str, make, required: dict, optional: dict):
+    """The record `make` builds from the document's section `where`: unknown
+    keys rejected, every key's shape checked, then the prime and prime-power
+    keys tested, in schema order.  A list type gives a fresh list."""
+    if where not in doc:
+        raise SchemaError(f"missing {where!r} section")
+    d = doc[where]
     if not isinstance(d, dict):
         raise SchemaError(f"{where} must be a JSON object")
     schema = {**required, **optional}
     unknown = set(d) - set(schema)
     if unknown:
         raise SchemaError(f"unknown keys in {where}: {sorted(unknown)}")
-    out = {}
+    out, tested = {}, []
     for key, typ in schema.items():
-        if key in d:
-            out[key] = _coerce(d[key], typ, f"{where}.{key}")
-        elif key in required:
-            raise SchemaError(f"missing key {key!r} in {where}")
-    for key, value in out.items():
-        typ = schema[key]
-        if typ == "prime_power" and not is_prime_power(value):
-            raise SchemaError(f"{where}.{key} = {brief(value)} is not a prime power")
-        for n in _as_list(value) if typ in ("prime", "prime_list") else ():
-            if not is_prime(n):
-                raise SchemaError(f"{where}.{key} = {brief(n)} is not prime")
-    return out
-
-
-def _coerce(value, typ, where: str):
-    if typ in (int, "prime", "prime_power"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{where} must be an integer")
-        return value
-    if typ is bool:
-        if not isinstance(value, bool):
-            raise SchemaError(f"{where} must be a boolean")
-        return value
-    if typ in ("int_list", "prime_list"):
-        vals = _as_list(value)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in vals):
-            raise SchemaError(f"{where} must be an integer or list of integers")
-        return vals
-    if typ is str:
-        if not isinstance(value, str):
-            raise SchemaError(f"{where} must be a string")
-        return value
-    raise AssertionError(f"unhandled schema type {typ}")
+        if key not in d:
+            if key in required:
+                raise SchemaError(f"missing key {key!r} in {where}")
+            continue
+        kind, listed, phrase = _SHAPES[typ]
+        vals = list(d[key]) if listed and isinstance(d[key], list) else [d[key]]
+        if any(type(v) is not kind for v in vals):  # JSON's types: a bool is no int
+            raise SchemaError(f"{where}.{key} must be {phrase}")
+        out[key] = vals if listed else d[key]
+        if typ in ("prime", "prime_list", "prime_power"):
+            tested += [(key, typ, n) for n in vals]
+    for key, typ, n in tested:
+        if typ == "prime_power" and not is_prime_power(n):
+            raise SchemaError(f"{where}.{key} = {brief(n)} is not a prime power")
+        if typ != "prime_power" and not is_prime(n):
+            raise SchemaError(f"{where}.{key} = {brief(n)} is not prime")
+    return make(**out)
 
 
 def _dispatch(command: str, doc: dict, args: argparse.Namespace) -> dict:

@@ -1,7 +1,7 @@
 """The benchmark's traced in-process replay, as `bench/run.py --trace 1` runs
-it: the first cycle of cli-mix and of min-ell (seed 1) runs plain, then again
-with every function named in `bench/tracing.py`'s WRAPPED patched over the
-same eight modules, and the two must give the same outputs, none of them an
+it: the first cycle of cli-mix and of min-ell runs plain, then again with
+every function named in `bench/tracing.py`'s WRAPPED patched over the same
+eight modules, and the two must give the same outputs, none of them an
 unlabelled failure by the oracle.  So a refactor that moves or deletes a
 wrapped name, or that a patched binding changes, fails here and not first in
 a benchmark run.  The bench files are loaded by path and nothing is written."""
@@ -18,6 +18,8 @@ from semistable_gate import bounds, cli, gate, intpoly, primes, tame, weil
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH_MODULES = ("oracle", "tracing", "workloads", "run")
+MODULES = {"semistable_gate": semistable_gate, "cli": cli, "bounds": bounds, "gate": gate,
+           "intpoly": intpoly, "primes": primes, "tame": tame, "weil": weil}
 
 
 @pytest.fixture(scope="module")
@@ -39,20 +41,26 @@ def bench():
                 sys.modules[name] = module
 
 
+def traced_round(bench, requests, tracer=None, base=0):
+    """One round over `requests` with the tracer installed over MODULES: its
+    outputs and the oracle's tally of them."""
+    run = bench["run"]
+    tracer = tracer or bench["tracing"].Tracer()
+    with tracer.installed(MODULES):
+        outputs = run.in_process(cli, requests, tracer, base)
+    tally = run.Tally()
+    for req, (code, out, err) in zip(requests, outputs):
+        tally.record(req, bench["oracle"].check(req, code, out, err))
+    return outputs, tally
+
+
 @pytest.mark.parametrize("workload", ["cli-mix", "min-ell"])
 def test_the_traced_replay_gives_the_plain_outputs(bench, workload):
-    run, oracle = bench["run"], bench["oracle"]
+    run = bench["run"]
     requests = bench["workloads"].WORKLOADS[workload](random.Random(1), ROOT)
-    modules = {"semistable_gate": semistable_gate, "cli": cli, "bounds": bounds, "gate": gate,
-               "intpoly": intpoly, "primes": primes, "tame": tame, "weil": weil}
     plain = run.in_process(cli, requests, None, 0)
-    tracer = bench["tracing"].Tracer()
-    with tracer.installed(modules):
-        traced = run.in_process(cli, requests, tracer, 0)
+    traced, tally = traced_round(bench, requests)
     assert traced == plain
-    tally = run.Tally()
-    for req, (code, out, err) in zip(requests, traced):
-        tally.record(req, oracle.check(req, code, out, err))
     assert tally.unexpected == 0, "\n".join(tally.report())
 
 
@@ -61,17 +69,25 @@ def test_the_traced_replay_gives_the_plain_outputs(bench, workload):
 @pytest.mark.parametrize("seed", [2, 3, 4, 5])
 @pytest.mark.parametrize("workload", ["cli-mix", "min-ell"])
 def test_rounds_at_other_seeds_give_the_same_outputs(bench, workload, seed):
-    run, oracle = bench["run"], bench["oracle"]
+    run = bench["run"]
     requests = bench["workloads"].WORKLOADS[workload](random.Random(seed), ROOT)
-    modules = {"semistable_gate": semistable_gate, "cli": cli, "bounds": bounds, "gate": gate,
-               "intpoly": intpoly, "primes": primes, "tame": tame, "weil": weil}
     first = run.in_process(cli, requests, None, 0)
     second = run.in_process(cli, requests, None, 0)
-    tracer = bench["tracing"].Tracer()
-    with tracer.installed(modules):
-        traced = run.in_process(cli, requests, tracer, 0)
+    traced, tally = traced_round(bench, requests)
     assert first == second == traced
-    tally = run.Tally()
-    for req, (code, out, err) in zip(requests, traced):
-        tally.record(req, oracle.check(req, code, out, err))
     assert tally.unexpected == 0, "\n".join(tally.report())
+
+
+# as `bench/run.py --trace 1` runs it at seed 0: many pairs of a plain and a
+# traced round in one process, one tracer over all of them
+@pytest.mark.parametrize("workload,pairs", [("cli-mix", 10), ("min-ell", 40)])
+def test_many_rounds_at_seed_0_give_the_same_outputs(bench, workload, pairs):
+    run = bench["run"]
+    requests = bench["workloads"].WORKLOADS[workload](random.Random(0), ROOT)
+    tracer = bench["tracing"].Tracer()
+    first = run.in_process(cli, requests, None, 0)
+    for i in range(pairs):
+        plain = run.in_process(cli, requests, None, 0) if i else first
+        traced, tally = traced_round(bench, requests, tracer, i * len(requests))
+        assert plain == traced == first, f"round {i}"
+        assert tally.unexpected == 0, "\n".join(tally.report())

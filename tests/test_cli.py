@@ -1063,6 +1063,27 @@ REFUSED = {
     "ec-irred-unknown-query-key": (
         "ec-irred", {"field": RT_FIELD, "query": {"ell_E": 2, "ell": 17, "extra": 1}}, 2,
         "schema error: unknown keys in query: ['extra']"),
+    # each schema type's refusal line, a missing key and a non-object section
+    "rt-g-a-boolean": ("rt", {"field": RT_FIELD, "query": {"g": True, "variant": "st", "ell": 17}},
+                       2, "schema error: query.g must be an integer"),
+    "ec-irred-ell_E-a-list": ("ec-irred", {"field": RT_FIELD, "query": {"ell_E": [2], "ell": 17}},
+                              2, "schema error: query.ell_E must be an integer"),
+    "weil-check-q-a-string": (
+        "weil-check", {"query": {"poly": [2, 1, 1], "q": "4", "weights": [1, 1]}}, 2,
+        "schema error: query.q must be an integer"),
+    "decide-ell-a-boolean-entry": (
+        "decide", dict(UNIFORM_DOC, query={"ell": [17, True]}), 2,
+        "schema error: query.ell must be an integer or list of integers"),
+    "gate-t-a-float": ("gate", {"query": dict(GATE, t=1.5)}, 2,
+                       "schema error: query.t must be an integer or list of integers"),
+    "etale-no-w": ("etale", {"field": RT_FIELD, "query": {"b_w": 2, "ell_X": 2, "ell": 17}}, 2,
+                   "schema error: missing key 'w' in query"),
+    "constants-params-a-list": ("constants", dict(UNIFORM_DOC, params=[1]), 2,
+                                "schema error: params must be a JSON object"),
+    # every type is checked before any prime test: ell's type, not ell_E = 4
+    "ec-irred-types-before-primes": (
+        "ec-irred", {"field": RT_FIELD, "query": {"ell_E": 4, "ell": "x"}}, 2,
+        "schema error: query.ell must be an integer or list of integers"),
 }
 
 
