@@ -8,7 +8,7 @@ timestamps.  A result section is its record's own fields (`Verdict`,
 `GateVerdict`, `DerivedConstants`), so no key is named here.  Exit codes:
 0 success (NotDecided included), 2 schema error, 3 domain precondition
 failure, 4 internal consistency failure, an exhausted resource (memory,
-recursion depth) or a closed standard output.
+recursion depth) or a failed write to standard output.
 
 `COMMANDS` is each command's whole input contract: per section (field,
 params, query), the record built from it and each key's schema type, whose
@@ -36,6 +36,8 @@ import json
 import os
 import sys
 from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 
 from . import __version__
 from .bounds import (
@@ -62,11 +64,15 @@ TOOL = "semistable-gate"
 def answer(argv: list[str], stdin) -> tuple[int, str, str]:
     """(exit code, stdout, stderr) of the command argv names, its document
     read from --input, else from `stdin` (a string or a readable stream):
-    the exact text the process writes to each stream.  Help and usage errors
-    leave through argparse's SystemExit."""
+    the exact text the process writes to each stream, help and usage errors
+    included."""
     sys.set_int_max_str_digits(DIGIT_LIMIT)  # so no certificate depends on PYTHONINTMAXSTRDIGITS
     parser = _build_parser([argv[0]] if argv and argv[0] in COMMANDS else COMMANDS)
-    args = parser.parse_args(argv)
+    try:
+        with redirect_stdout(StringIO()) as out, redirect_stderr(StringIO()) as err:
+            args = parser.parse_args(argv)
+    except SystemExit as exc:  # help or a usage error: argparse's text, then its exit
+        return exc.code, out.getvalue(), err.getvalue()
     if args.command is None:
         return 2, "", parser.format_help()
     try:
@@ -86,14 +92,17 @@ def main(argv: list[str] | None = None) -> int:
     """Write `answer`'s triple to the process streams; return its exit code."""
     code, out, err = answer(sys.argv[1:] if argv is None else argv, sys.stdin)
     print(err, end="", file=sys.stderr)
+    if not out:  # nothing to write: a refusal keeps its own exit and message
+        return code
     try:
         print(out, end="", flush=True)
-    except BrokenPipeError:
-        # the reader is gone: send the last flush to nowhere, not a traceback
+    except OSError as exc:
+        # the write failed: send the last flush to nowhere, not a traceback
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        print("output failure: standard output is closed", file=sys.stderr)
+        reason = "standard output is closed" if isinstance(exc, BrokenPipeError) else exc.strerror
+        print(f"output failure: {reason}", file=sys.stderr)
         return 4
     return code
 
@@ -102,8 +111,7 @@ def run() -> None:
     """The process entry point (`python -m semistable_gate.cli` and the
     console script): `main`, both streams flushed, then `os._exit` with its
     code, so no interpreter teardown follows the certificate and no atexit
-    handler runs.  A SystemExit (help, usage errors) or an uncaught exception
-    leaves through the normal exit."""
+    handler runs.  Only an uncaught exception leaves through the normal exit."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None when the process started with that descriptor closed

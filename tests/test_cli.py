@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from golden_cases import CASES, OTHER_CASES
-from semistable_gate import cli, gate, intpoly
+from semistable_gate import __version__, cli, gate, intpoly
 from semistable_gate.intpoly import IntPolynomial, poly_mul
 from semistable_gate.primes import primes_up_to
 
@@ -119,14 +119,12 @@ def test_decide_batch_and_min_ell():
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
-def test_ell_flag_is_only_for_commands_whose_query_takes_ell(capsys, command):
+def test_ell_flag_is_only_for_commands_whose_query_takes_ell(command):
     # no command takes one: a query's primes come from the document alone, so a
     # certificate's input is exactly the JSON that was read
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, "{}", "--ell", "5")
-    out = capsys.readouterr()
-    assert exc.value.code == 2 and out.out == ""
-    assert "error: unrecognized arguments: --ell 5" in out.err
+    code, out, err = run_cli(command, "{}", "--ell", "5")
+    assert code == 2 and out == ""
+    assert "error: unrecognized arguments: --ell 5" in err
 
 
 # (q, n, s_max, ell_max) -> sha256 of the certificate, copied from the
@@ -393,6 +391,23 @@ def test_gate_search_over_a_prime_power_q_keeps_the_bound(q, ell_max):
     assert code in (0, 2, 3), err
 
 
+# T^2 + 9T + 27 at q = 27 = 3^3: a residue field of 27 elements needs d >= 3
+GATE_Q27 = {"query": {"poly": [27, 9, 1], "q": 27, "weights": [1, 1], "s": 1, "u": 1,
+                      "t": [0, 1], "ell": [37]}}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 18: gate takes d = 1 by default, so the "
+                   "forcing bound ell0^(d*M*u) is too small for q = 27, and it blames itself")
+def test_gate_over_a_prime_power_q_with_too_small_a_field_is_refused():
+    code, _, err = run_cli("gate", GATE_Q27)
+    assert code == 3, err
+
+
+def test_gate_over_a_prime_power_q_with_a_field_of_degree_f_answers():
+    code, _, err = run_cli("gate", {"query": {**GATE_Q27["query"], "d": 3}})
+    assert code == 0, err
+
+
 def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # compared with a snapshot: site .pth files may load some of them first
     code = ("import sys; before = set(sys.modules); import semistable_gate.cli; "
@@ -448,10 +463,7 @@ def test_imports_follow_the_command():
 
 def test_help_and_usage_errors_match_a_parser_of_all_ten_commands(capsys, monkeypatch):
     def outcome(argv):
-        try:
-            code = cli.main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = cli.main(argv)
         out = capsys.readouterr()
         return code, out.out, out.err
 
@@ -519,7 +531,7 @@ def test_ell_flag_on_a_non_object_query_exits_2(query):
 
 
 def _cli_process(doc: str | bytes, *argv, limit_bytes: int | None = None,
-                 cpu_seconds: int | None = None, text: bool = True):
+                 cpu_seconds: int | None = None, text: bool = True, stdout=subprocess.PIPE):
     def limit():
         # set in the child only, between fork and exec
         if limit_bytes:
@@ -529,7 +541,7 @@ def _cli_process(doc: str | bytes, *argv, limit_bytes: int | None = None,
 
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     return subprocess.run([sys.executable, "-m", "semistable_gate.cli", *argv],
-                          input=doc, capture_output=True, text=text, timeout=60,
+                          input=doc, stdout=stdout, stderr=subprocess.PIPE, text=text, timeout=60,
                           preexec_fn=limit if limit_bytes or cpu_seconds else None,
                           env={**os.environ, "PYTHONPATH": str(src)})
 
@@ -958,6 +970,30 @@ def test_a_closed_stdout_exits_4_without_a_traceback():
     assert (proc.returncode, proc.stderr) == (4, "output failure: standard output is closed\n")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["decide", "-h"]], ids=["help", "decide-help"])
+def test_help_into_a_closed_stdout_exits_4(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _cli_process("{}", *argv, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (4, "output failure: standard output is closed\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("argv,doc,code,err", [
+    (["ec-irred"], json.dumps(EC_DOC), 4, "output failure: No space left on device\n"),
+    # a refusal writes nothing to stdout, so it keeps its own exit and message
+    (["ec-irred"], "{}", 2, "schema error: missing 'field' section\n"),
+    (["--help"], "{}", 4, "output failure: No space left on device\n"),
+], ids=["certificate", "refusal", "help"])
+def test_a_full_stdout_exits_4_and_a_refusal_keeps_its_exit(argv, doc, code, err):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(doc, *argv, stdout=full)
+    assert (proc.returncode, proc.stderr) == (code, err)
+
+
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 GOLDEN = [(name, command, doc) for name, command, doc, _ in CASES + OTHER_CASES]
 
@@ -968,6 +1004,23 @@ def test_golden_certificates_leave_the_process_whole(name, command, doc):
     proc = _cli_process(json.dumps(doc).encode(), command, text=False)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
+
+
+# version -> sha256 of every golden's verdict sections: a verdict byte that
+# changes needs a new version, so a certificate names the rules that made it
+VERDICT_DIGESTS = {"0.1.0": "6ba48a1615e187e18a46c34a9e5268e870d74b7c3d99792d95402272f3c77b3e"}
+
+
+def test_a_verdict_changes_only_with_the_version():
+    lines = []
+    for path in sorted(GOLDEN_DIR.glob("*.json")):
+        body = json.loads(path.read_text("utf-8"))
+        assert body["version"] == __version__, path.name
+        for key in ("tool", "version", "command", "input"):
+            del body[key]
+        lines.append(f"{path.stem} {json.dumps(body, sort_keys=True, separators=(',', ':'))}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == VERDICT_DIGESTS.get(__version__), digest
 
 
 def test_a_certificate_past_the_pipe_buffer_leaves_the_process_whole():

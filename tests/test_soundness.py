@@ -10,9 +10,11 @@ checkers free of the package, and another keeps the golden regeneration to
 the standard library."""
 
 import ast
+import itertools
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -138,6 +140,75 @@ def test_no_empty_claims_that_a_split_prime_does_not_split(case):
     command, doc = case
     for ell, verdict in empties(command, doc):
         check_nonsplit(doc, ell, verdict)
+
+
+# fields each true as given: (d, disc) fixes a quadratic field, and h_plus is its h+
+WITNESS_FIELDS = [{"d": 1, "disc": 1, "h_plus": 1},
+                  *({"d": 2, "disc": disc, "h_plus": 1} for disc in (5, 8, 37)),
+                  {"d": 2, "disc": 12, "h_plus": 2}, {"d": 3, "disc": 49, "h_plus": 1}]
+WITNESS_FLAGS = [{}, {"divides_disc": False}, {"splits_in_K": False},
+                 {"divides_disc": False, "splits_in_K": False}]
+
+
+def _add(a, p1, p2):
+    """p1 + p2 on y^2 + a1 xy + a3 y = x^3 + a2 x^2 + a4 x + a6 (None is the
+    point at infinity), in exact rationals."""
+    a1, a2, a3, a4, a6 = a
+    if p1 is None or p2 is None:
+        return p2 if p1 is None else p1
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2 and y1 + y2 + a1 * x2 + a3 == 0:  # p2 = -p1
+        return None
+    if x1 == x2:
+        lam = (3 * x1 ** 2 + 2 * a2 * x1 + a4 - a1 * y1) / (2 * y1 + a1 * x1 + a3)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam ** 2 + a1 * lam - a2 - x1 - x2
+    return x3, -(lam + a1) * x3 - (y1 - lam * x1) - a3
+
+
+def test_a_curve_with_a_point_of_order_5_is_never_certified_empty_at_5():
+    # E: y^2 + y = x^3 - x^2 is a semistable elliptic curve whose 5-torsion
+    # is reducible over every field, so no family it belongs to is empty at 5
+    a1, a2, a3, a4, a6 = a = tuple(map(Fraction, (0, -1, 1, 0, 0)))
+    b2, b4, b6 = a1 ** 2 + 4 * a2, 2 * a4 + a1 * a3, a3 ** 2 + 4 * a6
+    b8 = a1 ** 2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3 ** 2 - a4 ** 2
+    disc = -b2 ** 2 * b8 - 8 * b4 ** 3 - 27 * b6 ** 2 + 9 * b2 * b4 * b6
+    c4 = b2 ** 2 - 24 * b4
+    # good reduction away from 11, and multiplicative at 11, where c4 is a unit
+    assert (disc, c4) == (-11, 16)
+    P = (Fraction(0), Fraction(0))
+    assert P[1] ** 2 + a1 * P[0] * P[1] + a3 * P[1] == P[0] ** 3 + a2 * P[0] ** 2 + a4 * P[0] + a6
+    multiples = [P]
+    for _ in range(4):
+        multiples.append(_add(a, multiples[-1], P))
+    assert multiples[1:] == [(1, -1), (1, 0), (0, -1), None]  # 2P, 3P, 4P = -P, 5P = O
+
+    for field, flags, ell in itertools.product(WITNESS_FIELDS, WITNESS_FLAGS, (2, 3, 5, 7)):
+        for command, query in (("ec-irred", {"ell_E": ell}),
+                               ("etale", {"b_w": 2, "w": 1, "ell_X": ell})):
+            doc = {"field": field, "query": {**query, "ell": [5], **flags}}
+            code, cert = run(command, doc, "--min-ell")
+            assert code == 0, doc
+            assert cert["verdicts"][0]["conclusion"] != "Empty", doc
+            assert cert["min_ell"] != 5, doc
+
+
+# Q(sqrt 3): its fundamental unit 2 + sqrt 3 has norm +1, so h+ = 2
+DISC_12_AT_101 = {"query": {"ell_E": 2, "ell": [101]}}
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: h_plus is taken as claimed, so "
+                   "h_plus 1 over disc 12 certifies Empty (Ell, a, threshold 64)")
+def test_a_false_h_plus_over_a_quadratic_field_is_refused():
+    doc = {"field": {"d": 2, "disc": 12, "h_plus": 1}, **DISC_12_AT_101}
+    code, out, err = cli.answer(["ec-irred"], json.dumps(doc))
+    assert code == 3 and "field.h_plus" in err, out
+
+
+def test_the_true_h_plus_over_a_quadratic_field_is_not_decided():
+    code, cert = run("ec-irred", {"field": {"d": 2, "disc": 12, "h_plus": 2}, **DISC_12_AT_101})
+    assert code == 0 and cert["verdicts"][0]["conclusion"] == "NotDecided"
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
