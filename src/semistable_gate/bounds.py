@@ -18,8 +18,6 @@ define at import time; those with constraints check them when built, and the
 fields of `Verdict` and `DerivedConstants` are their certificate keys.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Sequence
@@ -91,13 +89,13 @@ def central_binomial(n: int) -> int:
     return math.comb(n, n // 2)
 
 
-def size_exponent(n: int, r: int, w_bar: int) -> Fraction:
+def size_exponent(n: int, r: int, w_bar: int) -> "Fraction":
     """M = max{n*r, w_bar/2}, exact."""
     from fractions import Fraction  # here, so that only the commands using M load it
     return max(Fraction(n * r), Fraction(w_bar, 2))
 
 
-def lemma_bound(n: int, ell0: int, d: int, M: int | Fraction, u: int) -> int | None:
+def lemma_bound(n: int, ell0: int, d: int, M: "int | Fraction", u: int) -> int | None:
     """2 * c_n * ell0^(d*M*u), exact: every threshold in the package, or None
     past DIGIT_LIMIT digits, where no prime the program reads passes it, told
     first from bit lengths: log2(2*c_n) >= 1 + n - log2(n+1).  A fractional
@@ -109,7 +107,7 @@ def lemma_bound(n: int, ell0: int, d: int, M: int | Fraction, u: int) -> int | N
     return bound if bound < DIGIT_CEILING else None
 
 
-def _a_b(n: int, base: int, d: int, M: int | Fraction, u: int) -> tuple[int | None, int | None]:
+def _a_b(n: int, base: int, d: int, M: "int | Fraction", u: int) -> tuple[int | None, int | None]:
     """Situation (a) at exponent d*M*u, and (b) at d times that."""
     return lemma_bound(n, base, d, M, u), lemma_bound(n, base, d, M, u * d)
 

@@ -8,7 +8,8 @@ timestamps.  A result section is its record's own fields (`Verdict`,
 `GateVerdict`, `DerivedConstants`), so no key is named here.  Exit codes:
 0 success (NotDecided included), 2 schema error, 3 domain precondition
 failure, 4 internal consistency failure, an exhausted resource (memory,
-recursion depth) or a failed write to standard output.
+recursion depth) or a stdout that cannot be written; a stdin closed with
+no --input is exit 2, and a stderr that cannot be written keeps the code.
 
 `COMMANDS` is each command's whole input contract: per section (field,
 params, query), the record built from it and each key's schema type, whose
@@ -21,15 +22,13 @@ its ell list holds.  Any other ValueError or OverflowError is Python's own
 (the int-to-str limit on output, say): a precondition failure.
 
 `answer`, the in-process entry, maps argv and the input's text to (exit
-code, stdout, stderr) and writes no stream; `main` only writes that triple.
+code, stdout, stderr) and writes no stream; `main` writes only its text.
 A process pays only for its command: `answer` builds only the subparser of
 the command argv names (all ten for help, no command or an unknown one),
 and the handlers import `gate`, `weil`, `intpoly` and `tame` when they run.
 Nor does it pay after its answer: `run`, the process entry point, ends with
 `os._exit` once both streams are flushed, skipping interpreter teardown.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
@@ -89,22 +88,32 @@ def answer(argv: list[str], stdin) -> tuple[int, str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Write `answer`'s triple to the process streams; return its exit code."""
+    """Write `answer`'s triple, each stream only if it has text; return its
+    exit code.  A stdout that cannot take its text is exit 4, `output failure:
+    <reason>` on stderr; a stderr that cannot keeps the code: none can read it."""
     code, out, err = answer(sys.argv[1:] if argv is None else argv, sys.stdin)
-    print(err, end="", file=sys.stderr)
-    if not out:  # nothing to write: a refusal keeps its own exit and message
-        return code
-    try:
-        print(out, end="", flush=True)
-    except OSError as exc:
-        # the write failed: send the last flush to nowhere, not a traceback
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        reason = "standard output is closed" if isinstance(exc, BrokenPipeError) else exc.strerror
-        print(f"output failure: {reason}", file=sys.stderr)
-        return 4
+    reason = out and _write(sys.stdout, out, "standard output")
+    if reason:
+        code, err = 4, err + f"output failure: {reason}\n"
+    if err:
+        _write(sys.stderr, err, "standard error")
     return code
+
+
+def _write(stream, text: str, name: str) -> str | None:
+    """Write and flush `text` to `stream`, the process's `name` (None if closed
+    before start): None once written, else why not.  A failed write points its
+    descriptor at os.devnull, so no later flush of it fails."""
+    if stream is None:
+        return f"{name} is closed"
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return f"{name} is closed" if isinstance(exc, BrokenPipeError) else exc.strerror
 
 
 def run() -> None:
@@ -142,6 +151,8 @@ def _build_parser(names) -> argparse.ArgumentParser:
 
 
 def _load_document(args: argparse.Namespace, stdin) -> dict:
+    if stdin is None and not args.input:  # None: the process started with it closed
+        raise SchemaError("cannot read input: standard input is closed")
     try:
         if args.input:
             with open(args.input, "r", encoding="utf-8") as fh:

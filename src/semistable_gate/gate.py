@@ -11,8 +11,6 @@ once, it holds its weight budget, bound (refused past DIGIT_LIMIT digits) and
 both sides; `forced_equality(inst, ell)` compares them and enforces the lemma.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from collections.abc import Iterator

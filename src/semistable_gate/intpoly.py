@@ -9,8 +9,6 @@ equal by value) that refuses, when built, a coefficient that is not an
 integer and a degree past DEGREE_CAP, so every polynomial meets both.
 """
 
-from __future__ import annotations
-
 import math
 from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator, Sequence

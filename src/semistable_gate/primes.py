@@ -1,7 +1,5 @@
 """Deterministic primality and prime iteration for desk-scale inputs."""
 
-from __future__ import annotations
-
 import math
 
 from .errors import PreconditionError, brief

@@ -7,8 +7,6 @@ digits cyclically and so leaves the digit multiset alone.  No character is
 ever evaluated; everything is exponent arithmetic.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 
 from .errors import (DIGIT_CEILING, DIGIT_LIMIT, PreconditionError, SchemaError, brief,

@@ -8,8 +8,6 @@ The functional-equation test is a cheaper necessary condition for the
 uniform-weight case.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 

@@ -453,7 +453,7 @@ def test_imports_follow_the_command():
             "from semistable_gate import cli\n"
             f"code, out, _ = cli.answer(['rt', '--min-ell'], {doc!r})\n"
             "unwanted = {'semistable_gate.gate', 'semistable_gate.weil', 'semistable_gate.intpoly',\n"
-            "            'semistable_gate.tame', 'fractions', 'decimal'}\n"
+            "            'semistable_gate.tame', 'fractions', 'decimal', '__future__'}\n"
             "print(code, '\"min_ell\": 17' in out, sorted(unwanted & (set(sys.modules) - before)))\n")
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
@@ -531,18 +531,22 @@ def test_ell_flag_on_a_non_object_query_exits_2(query):
 
 
 def _cli_process(doc: str | bytes, *argv, limit_bytes: int | None = None,
-                 cpu_seconds: int | None = None, text: bool = True, stdout=subprocess.PIPE):
+                 cpu_seconds: int | None = None, text: bool = True, stdout=subprocess.PIPE,
+                 stderr=subprocess.PIPE, closed_fd: int | None = None):
     def limit():
-        # set in the child only, between fork and exec
+        # run in the child only, between fork and exec
         if limit_bytes:
             resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
         if cpu_seconds:
             resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
+        if closed_fd is not None:
+            os.close(closed_fd)
 
     src = pathlib.Path(cli.__file__).resolve().parents[1]
+    in_child = limit_bytes or cpu_seconds or closed_fd is not None
     return subprocess.run([sys.executable, "-m", "semistable_gate.cli", *argv],
-                          input=doc, stdout=stdout, stderr=subprocess.PIPE, text=text, timeout=60,
-                          preexec_fn=limit if limit_bytes or cpu_seconds else None,
+                          input=doc, stdout=stdout, stderr=stderr, text=text, timeout=60,
+                          preexec_fn=limit if in_child else None,
                           env={**os.environ, "PYTHONPATH": str(src)})
 
 
@@ -992,6 +996,56 @@ def test_a_full_stdout_exits_4_and_a_refusal_keeps_its_exit(argv, doc, code, err
     with open("/dev/full", "w") as full:
         proc = _cli_process(doc, *argv, stdout=full)
     assert (proc.returncode, proc.stderr) == (code, err)
+
+
+RT_CERTIFIED = json.dumps({"field": {"d": 1, "disc": 1, "h_plus": 1},
+                           "query": {"g": 1, "variant": "st", "ell": 17}})
+STDIN_CLOSED = "schema error: cannot read input: standard input is closed\n"
+STDOUT_CLOSED = "output failure: standard output is closed\n"
+
+# id -> (argv, document, the descriptor closed in the child or "full" for
+# stderr on /dev/full, exit code, whether stdout is the certificate, and
+# stderr, None where it cannot be read); "@" in argv is a file holding the
+# certificate's document
+STREAM_STATES = {
+    "stdin-closed-certificate": (["rt"], RT_CERTIFIED, 0, 2, False, STDIN_CLOSED),
+    "stdin-closed-refusal": (["rt"], "{}", 0, 2, False, STDIN_CLOSED),
+    "stdin-closed-input-file": (["rt", "--input", "@"], "", 0, 0, True, ""),
+    "stdout-closed-certificate": (["rt"], RT_CERTIFIED, 1, 4, False, STDOUT_CLOSED),
+    "stdout-closed-help": (["--help"], "{}", 1, 4, False, STDOUT_CLOSED),
+    "stdout-closed-refusal": (["rt"], "{}", 1, 2, False,
+                              "schema error: missing 'field' section\n"),
+    "stderr-closed-certificate": (["rt"], RT_CERTIFIED, 2, 0, True, ""),
+    "stderr-closed-refusal": (["rt"], "{}", 2, 2, False, ""),
+    "stderr-full-certificate": (["rt"], RT_CERTIFIED, "full", 0, True, None),
+    "stderr-full-refusal": (["rt"], "{}", "full", 2, False, None),
+}
+
+
+def test_a_closed_stdin_is_a_read_failure():
+    assert cli.answer(["rt"], None) == (2, "", STDIN_CLOSED)
+
+
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("name", STREAM_STATES)
+def test_a_missing_or_failing_stream_ends_in_its_exit_class(name, unbuffered, monkeypatch,
+                                                            tmp_path):
+    argv, doc, state, code, certified, err = STREAM_STATES[name]
+    if state == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full device")
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    if unbuffered:
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    (tmp_path / "doc.json").write_text(RT_CERTIFIED)
+    argv = [str(tmp_path / "doc.json") if arg == "@" else arg for arg in argv]
+    if state == "full":
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(doc, *argv, stderr=full)
+    else:
+        proc = _cli_process(doc, *argv, closed_fd=state)
+    assert proc.returncode == code
+    assert proc.stdout == (cli.answer(["rt"], RT_CERTIFIED)[1] if certified else "")
+    assert err is None or proc.stderr == err
 
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
