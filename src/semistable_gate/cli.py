@@ -9,7 +9,8 @@ timestamps.  A result section is its record's own fields (`Verdict`,
 0 success (NotDecided included), 2 schema error, 3 domain precondition
 failure, 4 internal consistency failure, an exhausted resource (memory,
 recursion depth) or a stdout that cannot be written; a stdin closed with
-no --input is exit 2, and a stderr that cannot be written keeps the code.
+no --input, or an input of more than `INPUT_LIMIT` characters, is exit 2,
+and a stderr that cannot be written keeps the code.
 
 `COMMANDS` is each command's whole input contract: per section (field,
 params, query), the record built from it and each key's schema type, whose
@@ -27,7 +28,7 @@ A process pays only for its command: `answer` builds only the subparser of
 the command argv names (all ten for help, no command or an unknown one),
 and the handlers import `gate`, `weil`, `intpoly` and `tame` when they run.
 Nor does it pay after its answer: `run`, the process entry point, ends with
-`os._exit` once both streams are flushed, skipping interpreter teardown.
+`os._exit` once `main` has written them, skipping interpreter teardown.
 """
 
 import argparse
@@ -58,6 +59,7 @@ from .errors import (DIGIT_LIMIT, InternalConsistencyError, PreconditionError, S
 from .primes import is_prime, is_prime_power
 
 TOOL = "semistable-gate"
+INPUT_LIMIT = 1 << 24  # characters of a document; past it, exit 2 before parsing
 
 
 def answer(argv: list[str], stdin) -> tuple[int, str, str]:
@@ -103,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
 def _write(stream, text: str, name: str) -> str | None:
     """Write and flush `text` to `stream`, the process's `name` (None if closed
     before start): None once written, else why not.  A failed write points its
-    descriptor at os.devnull, so no later flush of it fails."""
+    descriptor at os.devnull, so a normal exit after `main` flushes it safely."""
     if stream is None:
         return f"{name} is closed"
     try:
@@ -118,14 +120,10 @@ def _write(stream, text: str, name: str) -> str | None:
 
 def run() -> None:
     """The process entry point (`python -m semistable_gate.cli` and the
-    console script): `main`, both streams flushed, then `os._exit` with its
-    code, so no interpreter teardown follows the certificate and no atexit
+    console script): `os._exit` with `main`'s code once it has written its
+    streams, so no interpreter teardown follows the certificate and no atexit
     handler runs.  Only an uncaught exception leaves through the normal exit."""
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is not None:  # None when the process started with that descriptor closed
-            stream.flush()
-    os._exit(code)
+    os._exit(main())
 
 
 def _build_parser(names) -> argparse.ArgumentParser:
@@ -153,17 +151,19 @@ def _build_parser(names) -> argparse.ArgumentParser:
 def _load_document(args: argparse.Namespace, stdin) -> dict:
     if stdin is None and not args.input:  # None: the process started with it closed
         raise SchemaError("cannot read input: standard input is closed")
-    try:
+    try:  # at most one character past the limit is read
         if args.input:
             with open(args.input, "r", encoding="utf-8") as fh:
-                raw = fh.read()
+                raw = fh.read(INPUT_LIMIT + 1)
         else:
-            raw = stdin if isinstance(stdin, str) else stdin.read()
-        doc = json.loads(raw)
+            raw = stdin[:INPUT_LIMIT + 1] if isinstance(stdin, str) else stdin.read(INPUT_LIMIT + 1)
+        doc = len(raw) <= INPUT_LIMIT and json.loads(raw)
     except OSError as exc:
         raise SchemaError(f"cannot read input: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise SchemaError(f"invalid JSON: {exc}") from exc
+    if len(raw) > INPUT_LIMIT:  # raised past the try, whose ValueError clause would re-wrap it
+        raise SchemaError(f"cannot read input: more than {INPUT_LIMIT} characters")
     if not isinstance(doc, dict):
         raise SchemaError("document root must be a JSON object")
     return doc

@@ -17,6 +17,8 @@ from semistable_gate import __version__, cli, gate, intpoly
 from semistable_gate.intpoly import IntPolynomial, poly_mul
 from semistable_gate.primes import primes_up_to
 
+SRC = pathlib.Path(cli.__file__).resolve().parents[1]  # this checkout's src/
+
 
 def run_cli(command, doc, *flags):
     return cli.answer([command, *flags], doc if isinstance(doc, str) else json.dumps(doc))
@@ -412,10 +414,9 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     # compared with a snapshot: site .pth files may load some of them first
     code = ("import sys; before = set(sys.modules); import semistable_gate.cli; "
             "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))")
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.strip() == "[]"
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # every name the package exported when its __init__ imported all modules
@@ -455,10 +456,9 @@ def test_imports_follow_the_command():
             "unwanted = {'semistable_gate.gate', 'semistable_gate.weil', 'semistable_gate.intpoly',\n"
             "            'semistable_gate.tame', 'fractions', 'decimal', '__future__'}\n"
             "print(code, '\"min_ell\": 17' in out, sorted(unwanted & (set(sys.modules) - before)))\n")
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
-                         text=True, env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.splitlines() == ["[]", "0 True []"]
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "0 True []"]
 
 
 def test_help_and_usage_errors_match_a_parser_of_all_ten_commands(capsys, monkeypatch):
@@ -481,9 +481,8 @@ def test_help_and_usage_errors_match_a_parser_of_all_ten_commands(capsys, monkey
 
 def test_cli_imports_without_numpy():
     code = "import sys; sys.modules['numpy'] = None; import semistable_gate.cli"
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": str(src)})
+    proc = _python("-c", code)
+    assert proc.returncode == 0, proc.stderr
 
 
 UNIFORM_DOC = {"field": {"d": 1, "disc": 1, "h_plus": 1},
@@ -530,9 +529,16 @@ def test_ell_flag_on_a_non_object_query_exits_2(query):
     assert code == 2 and out == "" and "query must be a JSON object" in err
 
 
+def _python(*args, env=None, **kwargs):
+    """`python *args` importing this checkout's src/, on top of `env` (else
+    os.environ); stdout and stderr piped as text unless kwargs say otherwise."""
+    kwargs = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE, "text": True, **kwargs}
+    env = {**(os.environ if env is None else env), "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], timeout=60, env=env, **kwargs)
+
+
 def _cli_process(doc: str | bytes, *argv, limit_bytes: int | None = None,
-                 cpu_seconds: int | None = None, text: bool = True, stdout=subprocess.PIPE,
-                 stderr=subprocess.PIPE, closed_fd: int | None = None):
+                 cpu_seconds: int | None = None, closed_fd: int | None = None, **kwargs):
     def limit():
         # run in the child only, between fork and exec
         if limit_bytes:
@@ -542,12 +548,9 @@ def _cli_process(doc: str | bytes, *argv, limit_bytes: int | None = None,
         if closed_fd is not None:
             os.close(closed_fd)
 
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
     in_child = limit_bytes or cpu_seconds or closed_fd is not None
-    return subprocess.run([sys.executable, "-m", "semistable_gate.cli", *argv],
-                          input=doc, stdout=stdout, stderr=stderr, text=text, timeout=60,
-                          preexec_fn=limit if in_child else None,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+    return _python("-m", "semistable_gate.cli", *argv, input=doc,
+                   preexec_fn=limit if in_child else None, **kwargs)
 
 
 def test_memory_error_exits_4_without_a_traceback():
@@ -650,16 +653,22 @@ def test_forced_equal_certificate():
                                             "congruent": True, "matched_weights": [2, 2]}]
 
 
+def _recorded(monkeypatch, module, name, record) -> list:
+    """The list to which `module.name`, patched, appends `record(*args)` of
+    each call before it calls the original."""
+    calls, original = [], getattr(module, name)
+
+    def recorded(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 def test_gate_validates_its_datum_once_per_document(monkeypatch):
     from semistable_gate import weil
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return validate_weights(*args)
-
-    validate_weights = weil.validate_weights
-    monkeypatch.setattr(weil, "validate_weights", counted)
+    calls = _recorded(monkeypatch, weil, "validate_weights", lambda *args: args)
     doc = {"query": dict(GATE, ell=[7, 11, 13, 17, 19])}
     code, out, _ = run_cli("gate", doc)
     assert code == 0 and len(json.loads(out)["verdicts"]) == 5
@@ -667,14 +676,7 @@ def test_gate_validates_its_datum_once_per_document(monkeypatch):
 
 
 def test_gate_builds_its_bound_once_per_document(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return lemma_bound(*args)
-
-    lemma_bound = gate.lemma_bound
-    monkeypatch.setattr(gate, "lemma_bound", counted)
+    calls = _recorded(monkeypatch, gate, "lemma_bound", lambda *args: args)
     doc = {"query": dict(GATE, ell=[7, 11, 13, 17, 19])}
     code, out, _ = run_cli("gate", doc)
     assert code == 0 and len(json.loads(out)["verdicts"]) == 5
@@ -685,12 +687,8 @@ QUARTIC = [16, 0, 32, 0, 24, 0, 8, 0, 1]  # (T^2 + 2)^4: eight roots of absolute
 
 
 def test_a_gate_document_builds_each_side_once_whatever_its_ells(monkeypatch):
-    calls = []
-    for name in ("power_transform", "from_prime_power_roots"):
-        def counted(*args, fn=getattr(gate, name), name=name):
-            calls.append(name)
-            return fn(*args)
-        monkeypatch.setattr(gate, name, counted)
+    calls = [_recorded(monkeypatch, gate, name, lambda *args, name=name: name)
+             for name in ("power_transform", "from_prime_power_roots")]
     ells = primes_up_to(1300)[1:201]
     doc = {"query": {"poly": QUARTIC, "q": 2, "weights": [1] * 8, "s": 1000, "u": 1000,
                      "t": [500] * 8, "ell": ells}}
@@ -698,7 +696,7 @@ def test_a_gate_document_builds_each_side_once_whatever_its_ells(monkeypatch):
     code, out, _ = run_cli("gate", doc)
     assert time.process_time() - started < 0.25
     assert code == 0 and [v["ell"] for v in json.loads(out)["verdicts"]] == ells
-    assert sorted(calls) == ["from_prime_power_roots", "power_transform"]
+    assert sorted(sum(calls, [])) == ["from_prime_power_roots", "power_transform"]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 14: with weights all 0 and r = 0, M = 0, so "
@@ -780,14 +778,8 @@ def test_a_power_transform_under_the_digit_limit_is_built():
 @pytest.mark.parametrize("s,built", [(1, [1]), (16, [1, 16]), (17, [1, 16, 17])])
 def test_power_transform_builds_each_f_k_once(monkeypatch, s, built):
     # the Mahler pass's f_1 and f_16 are the answer when s is 1 or 16
-    calls = []
     transform = intpoly.power_transform
-
-    def counted(f, k):
-        calls.append(k)
-        return transform(f, k)
-
-    monkeypatch.setattr(intpoly, "power_transform", counted)
+    calls = _recorded(monkeypatch, intpoly, "power_transform", lambda f, k: k)
     code, out, _ = run_cli("power-transform", {"query": {"poly": [2, 1, 1], "s": s}})
     assert code == 0 and calls == built
     assert json.loads(out)["result"] == list(transform(IntPolynomial((2, 1, 1)), s).coeffs)
@@ -936,15 +928,11 @@ DIGIT_LIMIT_DOCS = [
 
 @pytest.mark.parametrize("command,doc,code", DIGIT_LIMIT_DOCS, ids=["constants", "tame-weights"])
 def test_the_digit_limit_does_not_follow_the_environment(command, doc, code):
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
     outcomes = set()
     for limit in (None, "0", "640"):
-        extra = {"PYTHONPATH": str(src)} if limit is None else {
-            "PYTHONPATH": str(src), "PYTHONINTMAXSTRDIGITS": limit}
-        proc = subprocess.run([sys.executable, "-m", "semistable_gate.cli", command],
-                              input=json.dumps(doc), capture_output=True, text=True,
-                              timeout=60, env={**env, **extra})
+        extra = {} if limit is None else {"PYTHONINTMAXSTRDIGITS": limit}
+        proc = _cli_process(json.dumps(doc), command, env={**env, **extra})
         outcomes.add((proc.returncode, proc.stdout))
     assert len(outcomes) == 1 and next(iter(outcomes))[0] == code
 
@@ -961,14 +949,27 @@ def test_missing_input_file_exits_2(tmp_path):
     assert code == 2 and out == "" and err.startswith("schema error: cannot read input: ")
 
 
+INPUT_PAST_LIMIT = "schema error: cannot read input: more than 16777216 characters\n"
+
+
+def test_a_document_past_the_input_limit_is_refused():
+    doc = "{}".ljust(cli.INPUT_LIMIT)
+    assert run_cli("rt", doc) == (2, "", "schema error: missing 'field' section\n")
+    assert run_cli("rt", doc + " ") == (2, "", INPUT_PAST_LIMIT)
+    assert cli.answer(["rt"], io.StringIO(doc + " ")) == (2, "", INPUT_PAST_LIMIT)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+def test_an_endless_input_exits_2_within_a_memory_limit():
+    proc = _cli_process("", "rt", "--input", "/dev/zero", limit_bytes=400_000_000)
+    assert (proc.returncode, proc.stderr) == (2, INPUT_PAST_LIMIT)
+
+
 def test_a_closed_stdout_exits_4_without_a_traceback():
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "semistable_gate.cli", "ec-irred"],
-                              input=json.dumps(EC_DOC), stdout=write_end, stderr=subprocess.PIPE,
-                              text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+        proc = _cli_process(json.dumps(EC_DOC), "ec-irred", stdout=write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (4, "output failure: standard output is closed\n")
@@ -1086,14 +1087,11 @@ def test_a_certificate_past_the_pipe_buffer_leaves_the_process_whole():
 
 
 def test_the_process_ends_without_interpreter_teardown():
-    # run ends in os._exit once both streams are flushed, so no atexit handler runs
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    # run ends in os._exit once main has written both streams, so no atexit handler runs
     code = ("import atexit, sys; from semistable_gate.cli import run; "
             "atexit.register(print, 'teardown', file=sys.stderr); run()")
     name, command, doc = GOLDEN[0]
-    proc = subprocess.run([sys.executable, "-c", code, command], input=json.dumps(doc).encode(),
-                          capture_output=True, timeout=60,
-                          env={**os.environ, "PYTHONPATH": str(src)})
+    proc = _python("-c", code, command, input=json.dumps(doc).encode(), text=False)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
